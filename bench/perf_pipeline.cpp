@@ -12,7 +12,9 @@
 // hardware_threads so the trajectory stays interpretable).
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +33,21 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+/// Wall seconds the continuous profiler booked to `stages` between two
+/// snapshot_stages() folds (0 when profiling is compiled out).
+double stage_seconds(const std::vector<mhm::obs::prof::StageSnapshot>& before,
+                     const std::vector<mhm::obs::prof::StageSnapshot>& after,
+                     std::initializer_list<mhm::obs::prof::Stage> stages) {
+  std::uint64_t ns = 0;
+  for (const auto stage : stages) {
+    const auto i = static_cast<std::size_t>(stage);
+    if (i < before.size() && i < after.size()) {
+      ns += after[i].wall_ns - before[i].wall_ns;
+    }
+  }
+  return static_cast<double>(ns) * 1e-9;
 }
 
 struct StageTimes {
@@ -81,27 +98,23 @@ int main() {
         pipeline::collect_normal_trace(cfg, validation_plan);
     row.collect_seconds = seconds_since(t0);
 
-    std::vector<std::vector<double>> train_raw;
-    train_raw.reserve(training.size());
-    for (const auto& m : training) train_raw.push_back(m.as_vector());
-
-    t0 = Clock::now();
-    const Eigenmemory pca = Eigenmemory::fit(train_raw, opts.pca);
-    const auto reduced = pca.project_all(train_raw);
-    row.pca_seconds = seconds_since(t0);
-
-    t0 = Clock::now();
-    Gmm gmm = Gmm::fit(reduced, opts.gmm);
-    row.gmm_seconds = seconds_since(t0);
-
-    std::vector<double> validation_scores;
-    validation_scores.reserve(validation.size());
-    for (const auto& v : validation) {
-      validation_scores.push_back(gmm.log10_density(pca.project(v.as_vector())));
-    }
-    AnomalyDetector detector = AnomalyDetector::assemble(
-        pca, std::move(gmm), ThresholdCalibrator(validation_scores),
-        opts.primary_p);
+    // The training leg is the routine that ships: train_snapshot, top-k
+    // PCA and all; the profiler's train.* stages split PCA from EM.
+    const std::vector<std::vector<double>> train_raw = as_rows(training);
+    const bool prof_was_on = obs::prof::prof_enabled();
+    obs::prof::set_prof_enabled(true);
+    const auto stages_before = obs::prof::snapshot_stages();
+    AnomalyDetector detector =
+        AnomalyDetector::from_snapshot(std::make_shared<const ModelSnapshot>(
+            train_snapshot(train_raw, as_rows(validation), opts)));
+    const auto stages_after = obs::prof::snapshot_stages();
+    obs::prof::set_prof_enabled(prof_was_on);
+    using obs::prof::Stage;
+    row.pca_seconds =
+        stage_seconds(stages_before, stages_after,
+                      {Stage::kTrainCovariance, Stage::kTrainEigensolve});
+    row.gmm_seconds =
+        stage_seconds(stages_before, stages_after, {Stage::kTrainEm});
     row.train_total_seconds = seconds_since(t_train0);
 
     // Scenario fan-out: independent seeded systems scored by the shared

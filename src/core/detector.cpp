@@ -24,11 +24,7 @@ AnomalyDetector::AnomalyDetector(std::shared_ptr<const ModelSnapshot> snapshot,
 AnomalyDetector AnomalyDetector::assemble(Eigenmemory pca, Gmm gmm,
                                           ThresholdCalibrator calibrator,
                                           double primary_p) {
-  if (gmm.dimension() != pca.components()) {
-    throw ConfigError(
-        "AnomalyDetector::assemble: GMM dimension does not match the "
-        "eigenmemory count");
-  }
+  // ModelSnapshot::assemble validates the GMM against the eigenmemory count.
   return AnomalyDetector(
       ModelSnapshot::assemble(std::move(pca), std::move(gmm),
                               std::move(calibrator), primary_p),
@@ -39,47 +35,6 @@ AnomalyDetector AnomalyDetector::train(
     const std::vector<std::vector<double>>& training,
     const std::vector<std::vector<double>>& validation,
     const Options& options) {
-  if (training.empty()) {
-    throw ConfigError("AnomalyDetector::train: empty training set");
-  }
-  if (validation.empty()) {
-    throw ConfigError("AnomalyDetector::train: empty validation set");
-  }
-  Eigenmemory pca = Eigenmemory::fit(training, options.pca);
-  const auto reduced = pca.project_all(training);
-  Gmm gmm = Gmm::fit(reduced, options.gmm);
-
-  // Single-pass calibration scoring: one parallel projection, one parallel
-  // density sweep that keeps the per-sample scores (Gmm::total_log_likelihood
-  // would otherwise be re-run by anyone wanting the total). The same vector
-  // seeds θ_p and the model-health training baseline.
-  const auto reduced_valid = pca.project_all(validation);
-  std::vector<double> ln_scores;
-  gmm.total_log_likelihood(reduced_valid, &ln_scores);
-  std::vector<double> validation_scores(ln_scores.size());
-  for (std::size_t i = 0; i < ln_scores.size(); ++i) {
-    validation_scores[i] = ln_scores[i] / kLn10;
-  }
-
-  // Per-cell baseline of the raw training maps: alarms are explained in the
-  // journal by the cells deviating most (in z) from this baseline.
-  const std::size_t l = training.front().size();
-  auto baseline = std::make_shared<CellBaseline>();
-  baseline->mean.assign(l, 0.0);
-  baseline->stddev.assign(l, 0.0);
-  for (const auto& x : training) {
-    for (std::size_t i = 0; i < l; ++i) baseline->mean[i] += x[i];
-  }
-  const double inv_n = 1.0 / static_cast<double>(training.size());
-  for (double& m : baseline->mean) m *= inv_n;
-  for (const auto& x : training) {
-    for (std::size_t i = 0; i < l; ++i) {
-      const double d = x[i] - baseline->mean[i];
-      baseline->stddev[i] += d * d;
-    }
-  }
-  for (double& s : baseline->stddev) s = std::sqrt(s * inv_n);
-
   // The observer is built once, with the final phase count from the
   // options — per-phase metric handles are never re-keyed, so the registry
   // carries no stale gauges from a pre-override bucket count.
@@ -87,23 +42,15 @@ AnomalyDetector AnomalyDetector::train(
   obs_options.journal_capacity = options.journal_capacity;
   obs_options.phases = std::max<std::size_t>(1, options.journal_phases);
   obs_options.top_cells = options.journal_top_cells;
-  return AnomalyDetector(
-      ModelSnapshot::assemble(std::move(pca), std::move(gmm),
-                              ThresholdCalibrator(std::move(validation_scores)),
-                              options.primary_p, std::move(baseline)),
-      obs_options);
+  return AnomalyDetector(std::make_shared<const ModelSnapshot>(
+                             train_snapshot(training, validation, options)),
+                         obs_options);
 }
 
 AnomalyDetector AnomalyDetector::train(const HeatMapTrace& training,
                                        const HeatMapTrace& validation,
                                        const Options& options) {
-  std::vector<std::vector<double>> train_raw;
-  train_raw.reserve(training.size());
-  for (const auto& m : training) train_raw.push_back(m.as_vector());
-  std::vector<std::vector<double>> valid_raw;
-  valid_raw.reserve(validation.size());
-  for (const auto& m : validation) valid_raw.push_back(m.as_vector());
-  return train(train_raw, valid_raw, options);
+  return train(as_rows(training), as_rows(validation), options);
 }
 
 double AnomalyDetector::score(const std::vector<double>& raw) const {

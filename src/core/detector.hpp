@@ -20,6 +20,19 @@ class ModelHealthMonitor;
 
 namespace mhm {
 
+/// AnomalyDetector::train's knobs: the training routine's plus the
+/// observation stack's.
+struct DetectorOptions : TrainOptions {
+  /// Decision-journal ring capacity (0 keeps the journal default).
+  std::size_t journal_capacity = 0;
+  /// Modulus for the journal's hyperperiod-phase label (matches
+  /// PhaseAwareDetector::Options::phases).
+  std::size_t journal_phases = 10;
+  /// Cells ranked by |z| against the training baseline in each alarm's
+  /// journal record (0 disables the per-alarm explanation).
+  std::size_t journal_top_cells = 8;
+};
+
 /// The complete learning + detection pipeline of the paper (§4):
 /// eigenmemory projection -> GMM density -> threshold test.
 ///
@@ -36,40 +49,20 @@ namespace mhm {
 /// run_scenarios does exactly that.
 class AnomalyDetector {
  public:
-  struct Options {
-    Eigenmemory::Options pca;  ///< Defaults: retain 99.99 % variance.
-    Gmm::Options gmm;          ///< Defaults: J = 5, 10 restarts.
-    double primary_p = 0.01;   ///< Threshold quantile for verdicts (θ_1).
-    /// Decision-journal ring capacity (0 keeps the journal default).
-    std::size_t journal_capacity = 0;
-    /// Modulus for the journal's hyperperiod-phase label (matches
-    /// PhaseAwareDetector::Options::phases).
-    std::size_t journal_phases = 10;
-    /// Cells ranked by |z| against the training baseline in each alarm's
-    /// journal record (0 disables the per-alarm explanation).
-    std::size_t journal_top_cells = 8;
-  };
+  using Options = DetectorOptions;
 
   /// Train from normal-behaviour maps and calibrate thresholds on a second,
-  /// disjoint set of normal maps.
+  /// disjoint set of normal maps: train_snapshot() behind a fresh
+  /// observation stack.
   static AnomalyDetector train(const HeatMapTrace& training,
                                const HeatMapTrace& validation,
-                               const Options& options);
-  static AnomalyDetector train(const HeatMapTrace& training,
-                               const HeatMapTrace& validation) {
-    return train(training, validation, Options{});
-  }
+                               const Options& options = {});
 
   /// Same, over raw vectors.
   static AnomalyDetector train(
       const std::vector<std::vector<double>>& training,
       const std::vector<std::vector<double>>& validation,
-      const Options& options);
-  static AnomalyDetector train(
-      const std::vector<std::vector<double>>& training,
-      const std::vector<std::vector<double>>& validation) {
-    return train(training, validation, Options{});
-  }
+      const Options& options = {});
 
   /// Analyze one MHM: project, score, compare against the primary threshold.
   /// Timed — `Verdict::analysis_time` is the wall-clock cost of projection +

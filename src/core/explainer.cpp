@@ -65,10 +65,7 @@ AnomalyExplainer::AnomalyExplainer(
 }
 
 AnomalyExplainer AnomalyExplainer::from_trace(const HeatMapTrace& training) {
-  std::vector<std::vector<double>> raw;
-  raw.reserve(training.size());
-  for (const auto& m : training) raw.push_back(m.as_vector());
-  return AnomalyExplainer(raw);
+  return AnomalyExplainer(as_rows(training));
 }
 
 std::vector<CellDeviation> AnomalyExplainer::explain(

@@ -57,6 +57,13 @@ void HeatMap::as_vector_into(std::vector<double>& out) const {
   }
 }
 
+std::vector<std::vector<double>> as_rows(const HeatMapTrace& maps) {
+  std::vector<std::vector<double>> rows;
+  rows.reserve(maps.size());
+  for (const auto& m : maps) rows.push_back(m.as_vector());
+  return rows;
+}
+
 std::string summarize(const HeatMap& map) {
   std::ostringstream os;
   os << "interval=" << map.interval_index << " cells=" << map.cell_count()

@@ -78,6 +78,9 @@ class HeatMap {
 /// A sequence of heat maps from one monitored run.
 using HeatMapTrace = std::vector<HeatMap>;
 
+/// Every map's cells as doubles, one row per map (the learning input).
+std::vector<std::vector<double>> as_rows(const HeatMapTrace& maps);
+
 /// Human-readable one-line summary ("cells=1472 total=83521 active=311 ...").
 std::string summarize(const HeatMap& map);
 

@@ -15,7 +15,6 @@ namespace mhm {
 namespace {
 
 constexpr char kMagic[4] = {'M', 'H', 'M', 'M'};
-constexpr std::uint32_t kFormatVersion = 1;
 
 // Section tags.
 constexpr std::uint32_t kTagEigenmemory = 0x454D454D;  // "MEME"
@@ -108,9 +107,10 @@ void save_eigenmemory(const Eigenmemory& em, std::ostream& out) {
   }
   write_f64_span(out, em.eigenvalues());
   write_f64_span(out, em.spectrum());
+  write_f64(out, em.total_variance());
 }
 
-Eigenmemory load_eigenmemory(std::istream& in) {
+Eigenmemory load_eigenmemory(std::istream& in, std::uint32_t format_version) {
   expect_tag(in, kTagEigenmemory, "eigenmemory");
   const std::uint64_t dim = read_u64(in);
   const std::uint64_t components = read_u64(in);
@@ -127,8 +127,11 @@ Eigenmemory load_eigenmemory(std::istream& in) {
   }
   std::vector<double> eigenvalues = read_f64_vector(in, kSanityLimit);
   std::vector<double> spectrum = read_f64_vector(in, kSanityLimit);
+  std::optional<double> total_variance;
+  if (format_version >= 2) total_variance = read_f64(in);
   return Eigenmemory::from_parts(std::move(mean), std::move(basis),
-                                 std::move(eigenvalues), std::move(spectrum));
+                                 std::move(eigenvalues), std::move(spectrum),
+                                 total_variance);
 }
 
 void save_gmm(const Gmm& gmm, std::ostream& out) {
@@ -168,9 +171,7 @@ Gmm load_gmm(std::istream& in) {
 }
 
 AnomalyDetector DetectorModel::to_detector() const {
-  return AnomalyDetector::assemble(eigenmemory, gmm,
-                                   ThresholdCalibrator(validation_scores),
-                                   primary_p);
+  return AnomalyDetector::from_snapshot(to_snapshot());
 }
 
 std::shared_ptr<const ModelSnapshot> DetectorModel::to_snapshot(
@@ -181,12 +182,7 @@ std::shared_ptr<const ModelSnapshot> DetectorModel::to_snapshot(
 }
 
 DetectorModel DetectorModel::from_detector(const AnomalyDetector& detector) {
-  DetectorModel model;
-  model.eigenmemory = detector.eigenmemory();
-  model.gmm = detector.gmm();
-  model.validation_scores = detector.thresholds().validation_scores();
-  model.primary_p = detector.primary_threshold().p;
-  return model;
+  return from_snapshot(*detector.snapshot());
 }
 
 DetectorModel DetectorModel::from_snapshot(const ModelSnapshot& snapshot) {
@@ -200,7 +196,7 @@ DetectorModel DetectorModel::from_snapshot(const ModelSnapshot& snapshot) {
 
 void save_model(const DetectorModel& model, std::ostream& out) {
   out.write(kMagic, sizeof kMagic);
-  write_u32(out, kFormatVersion);
+  write_u32(out, kModelFormatVersion);
   save_eigenmemory(model.eigenmemory, out);
   save_gmm(model.gmm, out);
   write_u32(out, kTagDetector);
@@ -216,12 +212,12 @@ DetectorModel load_model(std::istream& in) {
     throw SerializationError("model_io: bad magic (not an MHM model file)");
   }
   const std::uint32_t version = read_u32(in);
-  if (version != kFormatVersion) {
+  if (version < 1 || version > kModelFormatVersion) {
     throw SerializationError("model_io: unsupported format version " +
                              std::to_string(version));
   }
   DetectorModel model;
-  model.eigenmemory = load_eigenmemory(in);
+  model.eigenmemory = load_eigenmemory(in, version);
   model.gmm = load_gmm(in);
   expect_tag(in, kTagDetector, "detector");
   model.primary_p = read_f64(in);

@@ -95,9 +95,18 @@ class ModelRegistry {
   std::string directory_;
 };
 
+/// Format version save_model writes. Version 2 appended the total variance
+/// to the eigenmemory record: a top-k fit keeps only its Ritz values, whose
+/// sum understates trace(C). Version 1 files still load, with the total
+/// variance taken as the stored spectrum's sum, as before.
+inline constexpr std::uint32_t kModelFormatVersion = 2;
+
 /// --- lower-level pieces, exposed for reuse and tests ---
+/// The eigenmemory record of the current format version.
 void save_eigenmemory(const Eigenmemory& em, std::ostream& out);
-Eigenmemory load_eigenmemory(std::istream& in);
+/// Reads the eigenmemory record as laid out in `format_version`.
+Eigenmemory load_eigenmemory(std::istream& in,
+                             std::uint32_t format_version = kModelFormatVersion);
 void save_gmm(const Gmm& gmm, std::ostream& out);
 Gmm load_gmm(std::istream& in);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -98,21 +99,37 @@ Matrix gram_matrix(const std::vector<std::vector<double>>& xs,
   return g;
 }
 
+/// Shape checks shared by both solvers; `who` prefixes the ConfigError.
+void check_training(const std::vector<std::vector<double>>& training,
+                    std::size_t components, const std::string& who) {
+  if (training.empty()) throw ConfigError(who + ": empty training set");
+  const std::size_t l = training.front().size();
+  if (l == 0) throw ConfigError(who + ": zero-dimensional maps");
+  if (components > std::min(l, training.size())) {
+    throw ConfigError(who + ": requested more components than min(L, N)");
+  }
+}
+
+/// Export the most recent fit's shape (either solver).
+void publish_fit_gauges(const Eigenmemory& em) {
+  obs::Registry::instance()
+      .gauge("core.pca.components_retained",
+             "eigenmemories kept by the most recent fit")
+      .set(static_cast<double>(em.components()));
+  obs::Registry::instance()
+      .gauge("core.pca.variance_explained",
+             "variance fraction captured by the retained eigenmemories")
+      .set(em.variance_explained());
+}
+
 }  // namespace
 
 Eigenmemory Eigenmemory::fit(const std::vector<std::vector<double>>& training,
                              const Options& options) {
   OBS_SPAN("pca.fit");
-  if (training.empty()) {
-    throw ConfigError("Eigenmemory::fit: empty training set");
-  }
+  check_training(training, options.components, "Eigenmemory::fit");
   const std::size_t l = training.front().size();
-  if (l == 0) throw ConfigError("Eigenmemory::fit: zero-dimensional maps");
   const std::size_t n = training.size();
-  if (options.components > std::min(l, n)) {
-    throw ConfigError(
-        "Eigenmemory::fit: requested more components than min(L, N)");
-  }
 
   Eigenmemory em;
   em.mean_ = compute_mean(training);
@@ -183,23 +200,13 @@ Eigenmemory Eigenmemory::fit(const std::vector<std::vector<double>>& training,
       for (std::size_t i = 0; i < l; ++i) urow[i] = eig.eigenvectors(i, k);
     }
   }
-  obs::Registry::instance()
-      .gauge("core.pca.components_retained",
-             "eigenmemories kept by the most recent fit")
-      .set(static_cast<double>(keep));
-  obs::Registry::instance()
-      .gauge("core.pca.variance_explained",
-             "variance fraction captured by the retained eigenmemories")
-      .set(em.variance_explained());
+  publish_fit_gauges(em);
   return em;
 }
 
 Eigenmemory Eigenmemory::fit(const HeatMapTrace& maps,
                              const Options& options) {
-  std::vector<std::vector<double>> raw;
-  raw.reserve(maps.size());
-  for (const auto& m : maps) raw.push_back(m.as_vector());
-  return fit(raw, options);
+  return fit(as_rows(maps), options);
 }
 
 namespace {
@@ -281,20 +288,13 @@ Eigenmemory Eigenmemory::fit_topk(
     const std::vector<std::vector<double>>& training,
     const TopkOptions& options) {
   OBS_SPAN("pca.fit_topk");
-  if (training.empty()) {
-    throw ConfigError("Eigenmemory::fit_topk: empty training set");
-  }
-  const std::size_t l = training.front().size();
-  if (l == 0) throw ConfigError("Eigenmemory::fit_topk: zero-dimensional maps");
-  const std::size_t n = training.size();
-  const std::size_t rank_cap = std::min(l, n);
+  check_training(training, options.components, "Eigenmemory::fit_topk");
   if (options.components == 0) {
     throw ConfigError("Eigenmemory::fit_topk: components must be > 0");
   }
-  if (options.components > rank_cap) {
-    throw ConfigError(
-        "Eigenmemory::fit_topk: requested more components than min(L, N)");
-  }
+  const std::size_t l = training.front().size();
+  const std::size_t n = training.size();
+  const std::size_t rank_cap = std::min(l, n);
   const std::size_t keep = options.components;
   const std::size_t m = std::min(keep + options.oversample, rank_cap);
 
@@ -393,23 +393,8 @@ Eigenmemory Eigenmemory::fit_topk(
       linalg::normalize(urow);
     }
   });
-  obs::Registry::instance()
-      .gauge("core.pca.components_retained",
-             "eigenmemories kept by the most recent fit")
-      .set(static_cast<double>(keep));
-  obs::Registry::instance()
-      .gauge("core.pca.variance_explained",
-             "variance fraction captured by the retained eigenmemories")
-      .set(em.variance_explained());
+  publish_fit_gauges(em);
   return em;
-}
-
-Eigenmemory Eigenmemory::fit_topk(const HeatMapTrace& maps,
-                                  const TopkOptions& options) {
-  std::vector<std::vector<double>> raw;
-  raw.reserve(maps.size());
-  for (const auto& m : maps) raw.push_back(m.as_vector());
-  return fit_topk(raw, options);
 }
 
 void Eigenmemory::project_into(std::span<const double> map,
@@ -861,7 +846,8 @@ double Eigenmemory::reconstruction_error(const std::vector<double>& map) const {
 Eigenmemory Eigenmemory::from_parts(std::vector<double> mean,
                                     linalg::Matrix basis,
                                     std::vector<double> eigenvalues,
-                                    std::vector<double> spectrum) {
+                                    std::vector<double> spectrum,
+                                    std::optional<double> total_variance) {
   if (mean.empty()) throw ConfigError("Eigenmemory::from_parts: empty mean");
   if (basis.cols() != mean.size()) {
     throw ConfigError("Eigenmemory::from_parts: basis width != mean length");
@@ -883,13 +869,18 @@ Eigenmemory Eigenmemory::from_parts(std::vector<double> mean,
       throw ConfigError("Eigenmemory::from_parts: negative eigenvalue");
     }
   }
+  if (total_variance &&
+      !(std::isfinite(*total_variance) && *total_variance >= 0.0)) {
+    throw ConfigError("Eigenmemory::from_parts: invalid total variance");
+  }
   Eigenmemory em;
   em.mean_ = std::move(mean);
   em.basis_ = std::move(basis);
   em.eigenvalues_ = std::move(eigenvalues);
   em.spectrum_ = std::move(spectrum);
-  em.total_variance_ = 0.0;
-  for (double v : em.spectrum_) em.total_variance_ += v;
+  double spectrum_sum = 0.0;
+  for (double v : em.spectrum_) spectrum_sum += v;
+  em.total_variance_ = total_variance.value_or(spectrum_sum);
   return em;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,18 +67,17 @@ class Eigenmemory {
     std::uint64_t seed = 20150607;
   };
 
-  /// Truncated top-k fit for the (re)training path: never forms the L×L
-  /// covariance or runs the full eigensolve. Picks between two routes —
-  /// the exact Turk–Pentland Gram eigendecomposition (N×N) when N < L and
-  /// N ≤ gram_limit, and randomized subspace iteration with oversampling
-  /// (Halko–Martinsson–Tropp) on the N×L data matrix otherwise. The
-  /// returned basis spans the same top-k eigenspace as fit() up to
-  /// round-off / iteration tolerance (the cross-check tests pin principal
-  /// angles against the exact solver). Deterministic at any MHM_THREADS.
-  /// Throws ConfigError when components is 0 or exceeds min(N, L).
+  /// Truncated top-k fit, the PCA of train_snapshot() whenever L' is given:
+  /// never forms the L×L covariance or runs the full eigensolve. Picks
+  /// between two routes — the exact Turk–Pentland Gram eigendecomposition
+  /// (N×N) when N < L and N ≤ gram_limit, and randomized subspace
+  /// iteration with oversampling (Halko–Martinsson–Tropp) on the N×L data
+  /// matrix otherwise. The returned basis spans the same top-k eigenspace
+  /// as fit() up to round-off / iteration tolerance (the cross-check tests
+  /// pin principal angles against the exact solver). Deterministic at any
+  /// MHM_THREADS. Throws ConfigError when components is 0 or exceeds
+  /// min(N, L).
   static Eigenmemory fit_topk(const std::vector<std::vector<double>>& training,
-                              const TopkOptions& options);
-  static Eigenmemory fit_topk(const HeatMapTrace& maps,
                               const TopkOptions& options);
 
   /// Project one raw MHM into the reduced space (length L' weights).
@@ -143,14 +143,19 @@ class Eigenmemory {
   /// Fraction of total training variance captured by the first k retained
   /// eigenmemories (k defaults to all retained).
   double variance_explained(std::size_t k = 0) const;
+  /// trace(C), the total training variance. fit() sums the full spectrum;
+  /// fit_topk() keeps only the Ritz values and takes the exact trace.
+  double total_variance() const { return total_variance_; }
 
   /// Rebuild from previously extracted parts (deserialization). `basis`
   /// must be L' x L with unit-norm rows; `eigenvalues` length L';
-  /// `spectrum` the full (possibly longer) eigenvalue list. Validated.
-  static Eigenmemory from_parts(std::vector<double> mean,
-                                linalg::Matrix basis,
-                                std::vector<double> eigenvalues,
-                                std::vector<double> spectrum);
+  /// `spectrum` the full (possibly longer) eigenvalue list;
+  /// `total_variance` the stored trace, or the spectrum's sum when absent
+  /// (files written before it was stored). Validated.
+  static Eigenmemory from_parts(
+      std::vector<double> mean, linalg::Matrix basis,
+      std::vector<double> eigenvalues, std::vector<double> spectrum,
+      std::optional<double> total_variance = std::nullopt);
 
  private:
   std::vector<double> mean_;       ///< Ψ, length L.

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "core/snapshot.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector_ops.hpp"
 
@@ -24,7 +25,7 @@ PhaseAwareDetector PhaseAwareDetector::train(const HeatMapTrace& training,
   }
 
   PhaseAwareDetector det;
-  det.pca_ = Eigenmemory::fit(training, options.pca);
+  det.pca_ = fit_eigenmemory(as_rows(training), options.pca);
   const std::size_t dim = det.pca_.components();
 
   // Partition reduced training maps by hyperperiod phase.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -39,6 +40,69 @@ std::shared_ptr<const ModelSnapshot> ModelSnapshot::assemble(
                     .primary = primary,
                     .baseline = std::move(baseline),
                     .version = version});
+}
+
+namespace {
+
+using Rows = std::vector<std::vector<double>>;
+
+/// Per-cell mean and (population) standard deviation of the raw rows.
+std::shared_ptr<const CellBaseline> cell_baseline(const Rows& rows) {
+  const std::size_t l = rows.front().size();
+  auto baseline = std::make_shared<CellBaseline>();
+  baseline->mean.assign(l, 0.0);
+  baseline->stddev.assign(l, 0.0);
+  for (const auto& x : rows) {
+    for (std::size_t i = 0; i < l; ++i) baseline->mean[i] += x[i];
+  }
+  const double inv_n = 1.0 / static_cast<double>(rows.size());
+  for (double& m : baseline->mean) m *= inv_n;
+  for (const auto& x : rows) {
+    for (std::size_t i = 0; i < l; ++i) {
+      const double d = x[i] - baseline->mean[i];
+      baseline->stddev[i] += d * d;
+    }
+  }
+  for (double& s : baseline->stddev) s = std::sqrt(s * inv_n);
+  return baseline;
+}
+
+}  // namespace
+
+Eigenmemory fit_eigenmemory(const Rows& rows, const Eigenmemory::Options& pca) {
+  if (pca.components == 0) return Eigenmemory::fit(rows, pca);
+  return Eigenmemory::fit_topk(
+      rows, Eigenmemory::TopkOptions{.components = pca.components});
+}
+
+std::vector<double> log10_scores(const Eigenmemory& pca, const Gmm& gmm,
+                                 const Rows& rows) {
+  std::vector<double> scores;
+  gmm.total_log_likelihood(pca.project_all(rows), &scores);
+  for (double& s : scores) s /= kLn10;
+  return scores;
+}
+
+ModelSnapshot train_snapshot(const Rows& train_rows, const Rows& calib_rows,
+                             const TrainOptions& options) {
+  if (train_rows.empty()) {
+    throw ConfigError("train_snapshot: empty training set");
+  }
+  if (calib_rows.empty()) {
+    throw ConfigError("train_snapshot: empty calibration set");
+  }
+  Eigenmemory pca = fit_eigenmemory(train_rows, options.pca);
+  Gmm gmm = Gmm::fit(pca.project_all(train_rows), options.gmm);
+  // One scoring pass keeps the per-sample scores: they seed θ_p and the
+  // model-health training baseline alike.
+  ThresholdCalibrator calibrator(log10_scores(pca, gmm, calib_rows));
+  const Threshold primary = calibrator.at(options.primary_p);
+  return ModelSnapshot{.pca = std::move(pca),
+                       .gmm = std::move(gmm),
+                       .calibrator = std::move(calibrator),
+                       .primary = primary,
+                       .baseline = cell_baseline(train_rows),
+                       .version = 0};
 }
 
 Verdict score_snapshot(const ModelSnapshot& snapshot,

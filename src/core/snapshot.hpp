@@ -87,6 +87,37 @@ struct ModelSnapshot {
       std::uint64_t version = 0);
 };
 
+/// Knobs of the one training routine, train_snapshot().
+struct TrainOptions {
+  /// L' = pca.components > 0 selects the truncated top-k solver
+  /// (Eigenmemory::fit_topk). 0 selects the exact fit() in its
+  /// variance-target mode, the one mode that needs the full spectrum.
+  Eigenmemory::Options pca;
+  Gmm::Options gmm;         ///< Defaults: J = 5, 10 restarts.
+  double primary_p = 0.01;  ///< Threshold quantile for verdicts (θ_1).
+};
+
+/// The PCA stage of training: fit_topk when L' is given, exact fit() for
+/// the variance-target mode (pca.components == 0).
+Eigenmemory fit_eigenmemory(const std::vector<std::vector<double>>& rows,
+                            const Eigenmemory::Options& pca);
+
+/// log10 densities of raw rows under (pca, gmm): one parallel projection,
+/// one parallel density sweep. Deterministic at any MHM_THREADS.
+std::vector<double> log10_scores(const Eigenmemory& pca, const Gmm& gmm,
+                                 const std::vector<std::vector<double>>& rows);
+
+/// The one training routine. In order: PCA (fit_eigenmemory), projection
+/// and GMM EM, one calibration scoring pass of `calib_rows` that seeds θ_p
+/// and the model-health baseline, and the per-cell CellBaseline of
+/// `train_rows` that explains alarms in the journal. The snapshot carries
+/// version 0; callers that publish it stamp their own. Throws ConfigError
+/// on an empty set and whatever the PCA and EM stages reject.
+ModelSnapshot train_snapshot(
+    const std::vector<std::vector<double>>& train_rows,
+    const std::vector<std::vector<double>>& calib_rows,
+    const TrainOptions& options);
+
 /// Per-stream scoring scratch: reaches its final size on the first interval,
 /// then every score is allocation-free. One per session / per thread — never
 /// shared across concurrent scorers.

@@ -1,5 +1,6 @@
 #include "core/trace_io.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -102,7 +103,19 @@ RecordedTrace load_trace(std::istream& in) {
       count * cells > kSanityLimit) {
     throw SerializationError("trace_io: implausible trace size");
   }
-  trace.maps.reserve(count);
+  // Reserve no more maps than the rest of the stream can hold (16 + 4·cells
+  // bytes each): an inflated count then fails on the truncated read instead
+  // of allocating for its claim. A stream that cannot seek grows as read.
+  if (const std::streampos here = in.tellg(); here != std::streampos(-1)) {
+    in.seekg(0, std::ios::end);
+    const std::streampos end = in.tellg();
+    in.clear();
+    in.seekg(here);
+    if (end > here) {
+      trace.maps.reserve(std::min<std::uint64_t>(
+          count, static_cast<std::uint64_t>(end - here) / (16 + 4 * cells)));
+    }
+  }
   for (std::uint64_t m = 0; m < count; ++m) {
     HeatMap map(cells);
     map.interval_index = read_u64(in);

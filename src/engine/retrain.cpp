@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
+#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -29,17 +29,6 @@ struct RetrainMetrics {
 RetrainMetrics& retrain_metrics() {
   static RetrainMetrics m;
   return m;
-}
-
-std::string jnum(double v) {
-  char buf[40];
-  if (!std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "\"%s\"",
-                  std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf"));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -238,18 +227,18 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
       rows.begin() + static_cast<std::ptrdiff_t>(train_n + calib_n),
       rows.end());
 
-  // --- TRAINING: fast top-k PCA + GMM EM ---
-  Eigenmemory pca;
-  Gmm gmm;
+  // --- TRAINING: the offline routine on the oldest rows, θ_p from the
+  // calibration slice (top-k PCA, GMM EM, calibration, cell baseline) ---
+  TrainOptions train_options;
+  train_options.pca.components =
+      std::min(k, std::min(train_n, train.front().size()));
+  train_options.gmm.components =
+      std::min(j, std::max<std::size_t>(1, train_n / 4));
+  train_options.gmm.restarts = options_.gmm_restarts;
+  train_options.primary_p = p;
+  std::optional<ModelSnapshot> candidate;
   try {
-    Eigenmemory::TopkOptions topk = options_.topk;
-    topk.components = std::min(k, std::min(train_n, train.front().size()));
-    pca = Eigenmemory::fit_topk(train, topk);
-    const auto reduced = pca.project_all(train);
-    Gmm::Options go;
-    go.components = std::min(j, std::max<std::size_t>(1, train_n / 4));
-    go.restarts = options_.gmm_restarts;
-    gmm = Gmm::fit(reduced, go);
+    candidate.emplace(train_snapshot(train, calib, train_options));
   } catch (const Error&) {
     return reject("train_failed");
   }
@@ -259,27 +248,14 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
     set_state(RetrainState::kValidating);
   }
 
-  // --- VALIDATING ---
-  // θ_p from the calibration slice (the offline pipeline's validation-set
-  // role), then score the held-out slice as a stream.
-  const auto reduced_calib = pca.project_all(calib);
-  std::vector<double> ln_calib;
-  gmm.total_log_likelihood(reduced_calib, &ln_calib);
-  std::vector<double> calib_scores(ln_calib.size());
-  for (std::size_t i = 0; i < ln_calib.size(); ++i) {
-    calib_scores[i] = ln_calib[i] / kLn10;
-  }
-  ThresholdCalibrator calibrator(calib_scores);
-  const Threshold theta = calibrator.at(p);
-
-  const auto reduced_hold = pca.project_all(holdout);
-  std::vector<double> ln_hold;
-  gmm.total_log_likelihood(reduced_hold, &ln_hold);
-  std::vector<double> hold_scores(ln_hold.size());
+  // --- VALIDATING: score the held-out slice as a stream ---
+  const std::vector<double>& calib_scores =
+      candidate->calibrator.validation_scores();
+  const std::vector<double> hold_scores =
+      log10_scores(candidate->pca, candidate->gmm, holdout);
   std::uint64_t hold_alarms = 0;
-  for (std::size_t i = 0; i < ln_hold.size(); ++i) {
-    hold_scores[i] = ln_hold[i] / kLn10;
-    if (hold_scores[i] < theta.log10_value) ++hold_alarms;
+  for (const double score : hold_scores) {
+    if (score < candidate->primary.log10_value) ++hold_alarms;
   }
   report.holdout_alarm_rate =
       static_cast<double>(hold_alarms) / static_cast<double>(holdout_n);
@@ -313,42 +289,14 @@ RetrainReport RetrainManager::run_attempt(std::uint64_t trigger_interval) {
     return reject("quantile_shift");
   }
 
-  // --- PUBLISH ---
-  // Per-cell baseline of the candidate's training rows (journal
-  // explanations keep working across the swap).
-  const std::size_t l = train.front().size();
-  auto baseline = std::make_shared<CellBaseline>();
-  baseline->mean.assign(l, 0.0);
-  baseline->stddev.assign(l, 0.0);
-  for (const auto& x : train) {
-    for (std::size_t i = 0; i < l; ++i) baseline->mean[i] += x[i];
-  }
-  const double inv_n = 1.0 / static_cast<double>(train_n);
-  for (double& m : baseline->mean) m *= inv_n;
-  for (const auto& x : train) {
-    for (std::size_t i = 0; i < l; ++i) {
-      const double d = x[i] - baseline->mean[i];
-      baseline->stddev[i] += d * d;
-    }
-  }
-  for (double& s : baseline->stddev) s = std::sqrt(s * inv_n);
-
-  std::uint64_t version = 0;
+  // --- PUBLISH --- (the candidate's cell baseline keeps journal
+  // explanations working across the swap)
+  std::uint64_t version = current->version + 1;
   if (registry_ != nullptr) {
-    DetectorModel artifact;
-    artifact.eigenmemory = pca;
-    artifact.gmm = gmm;
-    artifact.validation_scores = calib_scores;
-    artifact.primary_p = p;
-    version = registry_->save(artifact);
-  } else {
-    version = current->version + 1;
+    version = registry_->save(DetectorModel::from_snapshot(*candidate));
   }
-
-  auto snapshot =
-      ModelSnapshot::assemble(std::move(pca), std::move(gmm),
-                              std::move(calibrator), p, std::move(baseline),
-                              version);
+  candidate->version = version;
+  auto snapshot = std::make_shared<const ModelSnapshot>(std::move(*candidate));
   try {
     engine_.swap_model(std::move(snapshot));
   } catch (const Error&) {
@@ -446,12 +394,12 @@ std::string RetrainManager::json() const {
     os += ",\"window_rows\":" + std::to_string(last.window_rows);
     os += ",\"train_rows\":" + std::to_string(last.train_rows);
     os += ",\"holdout_rows\":" + std::to_string(last.holdout_rows);
-    os += ",\"holdout_alarm_rate\":" + jnum(last.holdout_alarm_rate);
-    os += ",\"wilson_low\":" + jnum(last.wilson_low);
-    os += ",\"wilson_high\":" + jnum(last.wilson_high);
-    os += ",\"expected_p\":" + jnum(last.expected_p);
-    os += ",\"quantile_shift\":" + jnum(last.quantile_shift);
-    os += ",\"train_seconds\":" + jnum(last.train_seconds);
+    os += ",\"holdout_alarm_rate\":" + obs::json_num(last.holdout_alarm_rate);
+    os += ",\"wilson_low\":" + obs::json_num(last.wilson_low);
+    os += ",\"wilson_high\":" + obs::json_num(last.wilson_high);
+    os += ",\"expected_p\":" + obs::json_num(last.expected_p);
+    os += ",\"quantile_shift\":" + obs::json_num(last.quantile_shift);
+    os += ",\"train_seconds\":" + obs::json_num(last.train_seconds);
     os += "}";
   }
   os += "}";

@@ -59,11 +59,11 @@ struct RetrainReport {
 /// ModelRegistry and publishes it with swap_model — sessions pick the new
 /// version up at their next interval boundary, so no map is ever dropped.
 ///
-/// Candidate training uses the fast top-k PCA path (Eigenmemory::fit_topk)
-/// — the whole point of making retraining continuous is that it no longer
-/// costs a 20 s eigensolve. The window snapshot is split chronologically:
-/// the oldest rows train, the middle calibrates θ_p, and the newest slice
-/// is scored as a held-out stream. Two gates must pass before publish:
+/// Candidate training is the offline routine, train_snapshot(), on its top-k
+/// PCA path — the whole point of making retraining continuous is that it
+/// no longer costs a 20 s eigensolve. The window snapshot is split
+/// chronologically: the oldest rows train, the middle calibrates θ_p, and
+/// the newest slice is scored as a held-out stream. Two gates must pass before publish:
 ///  * the held-out alarm rate must sit inside the Wilson interval of the
 ///    configured quantile p at `options.wilson_z` — a candidate that
 ///    alarms wildly (or never) on clean traffic is rejected;
@@ -103,8 +103,6 @@ class RetrainManager {
     double wilson_z = 3.0;
     /// Allowed |median(holdout) − median(calibration)| in log10 units.
     double quantile_margin = 2.0;
-    /// Fast top-k PCA knobs (components is overridden per run).
-    Eigenmemory::TopkOptions topk;
     /// Run the pipeline on a background worker thread. False = note()
     /// runs it inline when the sustain threshold trips (deterministic
     /// single-thread tests; the manual tool path).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
 #include <numeric>
 #include <sstream>
 
@@ -27,17 +26,6 @@ constexpr std::uint64_t kNeverMarked = ~0ULL;
 /// Folded incident marks kept per shard — bounds a pathological fleet where
 /// every device alarms forever to a fixed scrape-side footprint.
 constexpr std::size_t kMaxFoldedMarks = 256;
-
-std::string json_num(double v) {
-  char buf[40];
-  if (!std::isfinite(v)) {
-    std::snprintf(buf, sizeof buf, "\"%s\"",
-                  std::isnan(v) ? "nan" : (v > 0 ? "inf" : "-inf"));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
 
 }  // namespace
 
@@ -363,7 +351,7 @@ std::string fleet_json(const FleetSnapshot& snapshot) {
      << ",\"rollup\":{\"ok\":"
      << snapshot.devices_ok << ",\"drifting\":" << snapshot.devices_drifting
      << ",\"miscalibrated\":" << snapshot.devices_miscalibrated
-     << "},\"intervals_per_sec\":" << json_num(snapshot.intervals_per_sec)
+     << "},\"intervals_per_sec\":" << obs::json_num(snapshot.intervals_per_sec)
      << ",\"prof_source\":\"" << snapshot.prof_source
      << "\",\"shards_detail\":[";
   for (std::size_t s = 0; s < snapshot.shard_summaries.size(); ++s) {
@@ -371,8 +359,8 @@ std::string fleet_json(const FleetSnapshot& snapshot) {
     if (s > 0) os << ",";
     os << "{\"shard\":" << s << ",\"devices\":" << sh.devices
        << ",\"intervals\":" << sh.intervals << ",\"alarms\":" << sh.alarms
-       << ",\"intervals_per_sec\":" << json_num(sh.intervals_per_sec)
-       << ",\"cycles_per_interval\":" << json_num(sh.cycles_per_interval)
+       << ",\"intervals_per_sec\":" << obs::json_num(sh.intervals_per_sec)
+       << ",\"cycles_per_interval\":" << obs::json_num(sh.cycles_per_interval)
        << "}";
   }
   os << "],\"top\":[";
@@ -380,7 +368,7 @@ std::string fleet_json(const FleetSnapshot& snapshot) {
     const TopStream& t = snapshot.top[i];
     if (i > 0) os << ",";
     os << "{\"device\":" << t.device << ",\"archetype\":\"" << t.archetype
-       << "\",\"severity\":" << json_num(t.severity)
+       << "\",\"severity\":" << obs::json_num(t.severity)
        << ",\"alarms\":" << t.alarms << ",\"status\":\""
        << obs::to_string(static_cast<obs::ModelHealthStatus>(t.status))
        << "\"}";

@@ -208,8 +208,6 @@ ModelHealthOptions ModelHealthOptions::from_env() {
 // ---------------------------------------------------------------------------
 // JSON rendering (always compiled: /model bodies and dumps are pure text).
 
-namespace {
-
 std::string json_num(double v) {
   char buf[40];
   if (!std::isfinite(v)) {
@@ -220,6 +218,8 @@ std::string json_num(double v) {
   }
   return buf;
 }
+
+namespace {
 
 std::string json_str(const std::string& s) {
   std::string out = "\"";

@@ -128,6 +128,10 @@ struct WilsonInterval {
 WilsonInterval wilson_interval(std::uint64_t successes, std::uint64_t trials,
                                double z);
 
+/// A double as a JSON number (%.17g). JSON has no literal for non-finite
+/// values, so they render as the strings "nan", "inf" and "-inf".
+std::string json_num(double v);
+
 enum class ModelHealthStatus {
   kOk = 0,
   kDrifting = 1,       ///< A drift detector on the score stream has fired.

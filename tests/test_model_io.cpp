@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -109,6 +110,43 @@ TEST(ModelIo, RejectsUnsupportedVersion) {
   EXPECT_THROW(load_model(corrupted), SerializationError);
 }
 
+TEST(ModelIo, ReadsVersionOneFiles) {
+  // A version 1 file is today's bytes without the eigenmemory record's
+  // trailing total variance, under version word 1.
+  const Fixture fx = Fixture::make();
+  const DetectorModel model = DetectorModel::from_detector(fx.detector);
+  std::stringstream current;
+  save_model(model, current);
+  std::stringstream record;
+  save_eigenmemory(model.eigenmemory, record);
+  std::string bytes = current.str();
+  const std::size_t total_at = 8 + record.str().size() - sizeof(double);
+  bytes.erase(total_at, sizeof(double));
+  bytes[4] = 1;
+  std::stringstream v1(bytes);
+  const AnomalyDetector restored = load_model(v1).to_detector();
+  EXPECT_EQ(restored.eigenmemory().variance_explained(),
+            fx.detector.eigenmemory().variance_explained());
+  EXPECT_EQ(restored.primary_threshold().log10_value,
+            fx.detector.primary_threshold().log10_value);
+}
+
+TEST(ModelIo, EigenmemoryRecordKeepsTheTotalVariance) {
+  // A top-k fit's spectrum is its Ritz values alone; the trace is larger.
+  linalg::Matrix basis(1, 3, 0.0);
+  basis(0, 0) = 1.0;
+  const Eigenmemory em =
+      Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {2.0, 1.0}, 6.0);
+  std::stringstream buffer;
+  save_eigenmemory(em, buffer);
+  const std::string bytes = buffer.str();
+  std::stringstream current(bytes);
+  EXPECT_EQ(load_eigenmemory(current).variance_explained(), 2.0 / 6.0);
+  // Version 1 had no such field: the total is the spectrum's sum.
+  std::stringstream v1(bytes.substr(0, bytes.size() - sizeof(double)));
+  EXPECT_EQ(load_eigenmemory(v1, 1).variance_explained(), 2.0 / 3.0);
+}
+
 TEST(ModelIo, RejectsTruncatedStream) {
   const Fixture fx = Fixture::make();
   std::stringstream buffer;
@@ -187,6 +225,10 @@ TEST(EigenmemoryFromParts, ValidatesInput) {
       ConfigError);
   // Spectrum shorter than retained values.
   EXPECT_THROW(Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0}, {}),
+               ConfigError);
+  // Negative total variance.
+  EXPECT_THROW(Eigenmemory::from_parts({0.0, 0.0, 0.0}, basis, {2.0},
+                                       {2.0, 1.0, 0.0}, -1.0),
                ConfigError);
 }
 

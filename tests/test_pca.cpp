@@ -14,27 +14,8 @@ namespace mhm {
 namespace {
 
 using mhm::testing::expect_vector_near;
-
-/// Synthetic data living (mostly) in a low-dimensional subspace: a mixture
-/// of `rank` fixed activity patterns plus noise — the structure MHMs have.
-std::vector<std::vector<double>> subspace_data(std::size_t n, std::size_t dim,
-                                               std::size_t rank, double noise,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<double>> patterns(rank, std::vector<double>(dim));
-  for (auto& p : patterns) {
-    for (double& v : p) v = rng.uniform(-1.0, 1.0);
-  }
-  std::vector<std::vector<double>> data(n, std::vector<double>(dim, 0.0));
-  for (auto& x : data) {
-    for (const auto& p : patterns) {
-      const double w = rng.uniform(0.0, 10.0);
-      for (std::size_t i = 0; i < dim; ++i) x[i] += w * p[i];
-    }
-    for (double& v : x) v += rng.normal(0.0, noise);
-  }
-  return data;
-}
+using mhm::testing::max_principal_angle_sin;
+using mhm::testing::subspace_data;
 
 TEST(Eigenmemory, RejectsDegenerateInput) {
   EXPECT_THROW(Eigenmemory::fit(std::vector<std::vector<double>>{}),
@@ -243,25 +224,6 @@ TEST(Eigenmemory, ConstantDataHasZeroVariance) {
 // (via projection residuals), plus eigenvalue / explained-variance drift.
 // The exact solver stays wired in as the oracle here — tier-1 runs this.
 
-/// sin of the largest principal angle between span(exact rows) and
-/// span(fast rows): for each oracle direction u, project onto the fast
-/// subspace and measure what is lost.
-double max_principal_angle_sin(const Eigenmemory& exact,
-                               const Eigenmemory& fast, std::size_t k) {
-  double worst = 0.0;
-  for (std::size_t a = 0; a < k; ++a) {
-    const auto u = exact.basis().row(a);
-    double captured = 0.0;
-    for (std::size_t b = 0; b < k; ++b) {
-      const double c = linalg::dot(u, fast.basis().row(b));
-      captured += c * c;
-    }
-    const double s2 = std::max(0.0, 1.0 - captured);
-    worst = std::max(worst, std::sqrt(s2));
-  }
-  return worst;
-}
-
 struct TopkCase {
   std::size_t n;
   std::size_t dim;
@@ -287,7 +249,7 @@ TEST_P(EigenmemoryTopkCrossCheck, MatchesExactSolverOnTopkSubspace) {
   EXPECT_EQ(fast.input_dim(), dim);
 
   // Same top-k subspace: every principal angle below tolerance.
-  EXPECT_LT(max_principal_angle_sin(exact, fast, kRank), 1e-6);
+  EXPECT_LT(max_principal_angle_sin(exact.basis(), fast.basis(), kRank), 1e-6);
 
   // Eigenvalues and explained variance track the oracle.
   for (std::size_t k = 0; k < kRank; ++k) {

@@ -4,6 +4,8 @@
 
 #include <filesystem>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "common/rng.hpp"
 
@@ -105,6 +107,53 @@ TEST(TraceIo, RejectsInvalidStoredConfig) {
   for (int i = 0; i < 8; ++i) bytes[24 + i] = 0;
   std::stringstream corrupted(bytes);
   EXPECT_THROW(load_trace(corrupted), SerializationError);
+}
+
+TEST(TraceIo, InflatedMapCountThrowsBeforeAllocating) {
+  // A 48-byte header-only trace whose count field claims 2^28 one-cell
+  // maps: the loader must hit the truncated read, not first reserve room
+  // for 2^28 maps (about 10 GB).
+  RecordedTrace header;
+  header.config.base = 0;
+  header.config.size = 4096;
+  header.config.granularity = 4096;
+  header.config.interval = 10 * kMillisecond;
+  std::stringstream buffer;
+  save_trace(header, buffer);
+  std::string bytes = buffer.str();
+  ASSERT_EQ(bytes.size(), 48u);
+  // The map count is the last header field, little-endian.
+  const std::uint64_t count = 1ull << 28;
+  for (int i = 0; i < 8; ++i) {
+    bytes[40 + i] = static_cast<char>((count >> (8 * i)) & 0xff);
+  }
+  std::stringstream inflated(bytes);
+  EXPECT_THROW(load_trace(inflated), SerializationError);
+}
+
+/// Read-only byte source that cannot seek, like a pipe.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+TEST(TraceIo, UnseekableStreamLoadsWithoutReserving) {
+  const RecordedTrace original = make_trace(12, 10);
+  std::stringstream buffer;
+  save_trace(original, buffer);
+  UnseekableBuf buf(buffer.str());
+  std::istream in(&buf);
+  ASSERT_EQ(in.tellg(), std::streampos(-1));
+  const RecordedTrace loaded = load_trace(in);
+  ASSERT_EQ(loaded.maps.size(), original.maps.size());
+  for (std::size_t m = 0; m < loaded.maps.size(); ++m) {
+    EXPECT_EQ(loaded.maps[m].counts(), original.maps[m].counts()) << m;
+  }
 }
 
 TEST(TraceIo, MissingFileThrowsConfigError) {

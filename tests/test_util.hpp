@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -50,5 +51,17 @@ linalg::Matrix random_symmetric(std::size_t n, std::uint64_t seed);
 
 /// A random symmetric positive-definite matrix (A A^T + n·I scaled).
 linalg::Matrix random_spd(std::size_t n, std::uint64_t seed);
+
+/// Synthetic data living (mostly) in a low-dimensional subspace: a mixture
+/// of `rank` fixed activity patterns plus noise — the structure MHMs have.
+std::vector<std::vector<double>> subspace_data(std::size_t n, std::size_t dim,
+                                               std::size_t rank, double noise,
+                                               std::uint64_t seed);
+
+/// sin of the largest principal angle between the spans of the first k
+/// rows of two orthonormal bases: for each `exact` direction u, project
+/// onto the `fast` subspace and measure what is lost.
+double max_principal_angle_sin(const linalg::Matrix& exact,
+                               const linalg::Matrix& fast, std::size_t k);
 
 }  // namespace mhm::testing

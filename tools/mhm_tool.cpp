@@ -268,13 +268,13 @@ int cmd_train(const Args& args) {
                        static_cast<std::ptrdiff_t>(trace.maps.size() * 4 / 5);
     const HeatMapTrace training(trace.maps.begin(), split);
     const HeatMapTrace validation(split, trace.maps.end());
-    const AnomalyDetector detector =
-        AnomalyDetector::train(training, validation, opts);
+    const ModelSnapshot model =
+        train_snapshot(as_rows(training), as_rows(validation), opts);
     std::printf("trained offline on %zu + %zu MHMs from %s; "
                 "variance explained %.4f%%\n",
                 training.size(), validation.size(), trace_path->c_str(),
-                100.0 * detector.eigenmemory().variance_explained());
-    save_trained(args, DetectorModel::from_detector(detector));
+                100.0 * model.pca.variance_explained());
+    save_trained(args, DetectorModel::from_snapshot(model));
     return 0;
   }
 
