@@ -56,11 +56,11 @@ int main() {
 
   // Collect runs once, evaluate all detectors on the same maps.
   pipeline::ScenarioRun normal_run =
-      pipeline::run_scenario(cfg, nullptr, 0, duration, pipe.detector.get(), 8001);
+      pipeline::run_scenario(cfg, nullptr, 0, duration, pipe.det().snapshot(), 8001);
   auto attacked_run = [&](const std::string& name) {
     auto attack = attacks::make_scenario(name);
     return pipeline::run_scenario(cfg, attack.get(), trigger, duration,
-                                  pipe.detector.get(), 8002);
+                                  pipe.det().snapshot(), 8002);
   };
   const pipeline::ScenarioRun app = attacked_run("app_addition");
   const pipeline::ScenarioRun shell = attacked_run("shellcode");
@@ -94,10 +94,11 @@ int main() {
     return r;
   };
 
+  engine::Session session = pipe.make_engine().new_session();
   {
     const double theta = pipe.theta_1.log10_value;
     Row r = eval([&](const HeatMap& m) {
-      return pipe.det().score(m.as_vector()) < theta;
+      return session.analyze(m).log10_density < theta;
     });
     r.detector = "eigenmemory + GMM (paper)";
     const Eigenmemory& em = pipe.det().eigenmemory();
@@ -132,8 +133,7 @@ int main() {
     // and the orthogonal failure modes.
     const double theta = pipe.theta_1.log10_value;
     Row r = eval([&](const HeatMap& m) {
-      const auto raw = m.as_vector();
-      return pipe.det().score(raw) < theta || spe.anomalous(raw);
+      return session.analyze(m).log10_density < theta || spe.anomalous(m);
     });
     r.detector = "GMM + SPE combined (extension)";
     const Eigenmemory& em = pipe.det().eigenmemory();

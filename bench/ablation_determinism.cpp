@@ -45,7 +45,7 @@ int main() {
 
     // False positives on a fresh normal run, raw and 2-of-3 filtered.
     pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 11001);
+        cfg, nullptr, 0, duration, pipe.det().snapshot(), 11001);
     const double theta = pipe.theta_1.log10_value;
     std::size_t raw_fp = 0;
     std::size_t filtered_fp = 0;
@@ -61,7 +61,7 @@ int main() {
     auto attacked_auc = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
       pipeline::ScenarioRun run = pipeline::run_scenario(
-          cfg, attack.get(), trigger, duration, pipe.detector.get(), 11002);
+          cfg, attack.get(), trigger, duration, pipe.det().snapshot(), 11002);
       std::vector<double> attacked;
       const std::vector<double> run_dens = run.log10_densities();
       for (std::size_t i = 0; i < run.maps.size(); ++i) {

@@ -46,13 +46,13 @@ int main() {
 
     // Normal scores from a held-out run.
     pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 5001);
+        cfg, nullptr, 0, duration, pipe.det().snapshot(), 5001);
 
     const std::vector<double> normal_dens = normal_run.log10_densities();
     auto attacked_auc = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
       pipeline::ScenarioRun run = pipeline::run_scenario(
-          cfg, attack.get(), trigger, duration, pipe.detector.get(), 5002);
+          cfg, attack.get(), trigger, duration, pipe.det().snapshot(), 5002);
       std::vector<double> attacked_scores;
       const std::vector<double> run_dens = run.log10_densities();
       for (std::size_t i = 0; i < run.maps.size(); ++i) {

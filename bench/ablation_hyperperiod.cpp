@@ -99,7 +99,7 @@ int main() {
 
     const SimTime duration = 400 * cfg.monitor.interval;
     pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 13001);
+        cfg, nullptr, 0, duration, pipe.det().snapshot(), 13001);
     const double theta = pipe.theta_1.log10_value;
     const std::vector<double> normal_dens = normal_run.log10_densities();
     std::size_t fp = 0;
@@ -110,7 +110,7 @@ int main() {
     attacks::AppAdditionAttack attack;
     pipeline::ScenarioRun app = pipeline::run_scenario(
         cfg, &attack, 100 * cfg.monitor.interval, duration,
-        pipe.detector.get(), 13002);
+        pipe.det().snapshot(), 13002);
     std::vector<double> attacked;
     const std::vector<double> app_dens = app.log10_densities();
     for (std::size_t i = 0; i < app.maps.size(); ++i) {

@@ -39,7 +39,7 @@ int main() {
     const auto pipe = pipeline::train_pipeline(cfg, plan, opts);
 
     pipeline::ScenarioRun normal_run = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), 12001);
+        cfg, nullptr, 0, duration, pipe.det().snapshot(), 12001);
     const double theta = pipe.theta_1.log10_value;
     const std::vector<double> normal_dens = normal_run.log10_densities();
     std::size_t fp = 0;
@@ -50,7 +50,7 @@ int main() {
     auto attacked_auc = [&](const std::string& name) {
       auto attack = attacks::make_scenario(name);
       pipeline::ScenarioRun run = pipeline::run_scenario(
-          cfg, attack.get(), trigger, duration, pipe.detector.get(), 12002);
+          cfg, attack.get(), trigger, duration, pipe.det().snapshot(), 12002);
       std::vector<double> attacked;
       const std::vector<double> run_dens = run.log10_densities();
       for (std::size_t i = 0; i < run.maps.size(); ++i) {

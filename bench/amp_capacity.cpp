@@ -44,7 +44,7 @@ int main() {
       sim::SystemConfig inst_cfg = cfg;
       inst_cfg.seed = 9000 + i;
       systems.push_back(std::make_unique<sim::System>(inst_cfg));
-      monitor.attach(*systems.back(), pipe.det());
+      monitor.attach(*systems.back(), pipe.det().snapshot());
     }
     monitor.run_all(fast_mode() ? 1 * kSecond : 2 * kSecond);
 

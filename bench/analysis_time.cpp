@@ -11,7 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <memory>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "pipeline/experiment.hpp"
@@ -21,12 +21,12 @@ namespace {
 using namespace mhm;
 
 struct Setup {
-  std::unique_ptr<AnomalyDetector> detector;
+  std::optional<engine::Session> session;
   std::vector<std::vector<double>> probes;
 };
 
-/// Train a detector for a given (granularity, L') and pre-generate probe
-/// MHMs from a fresh normal run.
+/// Train a model for a given (granularity, L'), open a scoring session on
+/// it and pre-generate probe MHMs from a fresh normal run.
 Setup make_setup(std::uint64_t granularity, std::size_t components) {
   sim::SystemConfig cfg = sim::SystemConfig::paper_default(/*seed=*/1);
   cfg.monitor.granularity = granularity;
@@ -35,7 +35,7 @@ Setup make_setup(std::uint64_t granularity, std::size_t components) {
   plan.runs = 4;
   plan.run_duration = 2 * kSecond;
 
-  AnomalyDetector::Options opts;
+  TrainOptions opts;
   opts.pca.components = components;
   opts.gmm.components = 5;
   opts.gmm.restarts = 3;
@@ -43,7 +43,7 @@ Setup make_setup(std::uint64_t granularity, std::size_t components) {
   pipeline::TrainedPipeline pipe = pipeline::train_pipeline(cfg, plan, opts);
 
   Setup setup;
-  setup.detector = std::move(pipe.detector);
+  setup.session.emplace(pipe.make_engine().new_session());
   pipeline::ScenarioRun probe_run = pipeline::run_scenario(
       cfg, nullptr, 0, 1 * kSecond, nullptr, /*seed=*/4711);
   for (const auto& m : probe_run.maps) setup.probes.push_back(m.as_vector());
@@ -64,10 +64,10 @@ Setup& setup_for(int id) {
 
 void BM_Analyze(benchmark::State& state) {
   Setup& setup = setup_for(static_cast<int>(state.range(0)));
-  std::size_t i = 0;
+  std::uint64_t i = 0;
   for (auto _ : state) {
-    const auto& probe = setup.probes[i++ % setup.probes.size()];
-    benchmark::DoNotOptimize(setup.detector->score(probe));
+    const auto& probe = setup.probes[i % setup.probes.size()];
+    benchmark::DoNotOptimize(setup.session->analyze(probe, i++));
   }
   state.SetLabel(state.range(0) == 0   ? "L=1472 L'=9 J=5 (paper: 358us)"
                  : state.range(0) == 1 ? "L=368 L'=9 J=5 (paper ~100us at 8KB)"
@@ -91,10 +91,11 @@ int main(int argc, char** argv) {
   const double paper_us[] = {358.0, 100.0, 216.0};
   for (int c = 0; c < 3; ++c) {
     Setup& setup = setup_for(c);
-    obs::Histogram& hist = AnomalyDetector::analysis_time_histogram();
+    obs::Histogram& hist = StreamObserver::analysis_time_histogram();
     hist.reset();  // Scope the process-wide histogram to this configuration.
     for (int i = 0; i < 1000; ++i) {
-      (void)setup.detector->analyze(setup.probes[i % setup.probes.size()], i);
+      (void)setup.session->analyze(setup.probes[i % setup.probes.size()],
+                                   static_cast<std::uint64_t>(i));
     }
     const std::uint64_t samples = hist.count();
     const double mean_us =

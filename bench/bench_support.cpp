@@ -8,11 +8,11 @@
 namespace mhm::bench {
 
 void reset_analysis_time() {
-  AnomalyDetector::analysis_time_histogram().reset();
+  StreamObserver::analysis_time_histogram().reset();
 }
 
 double analysis_mean_us() {
-  const obs::Histogram& h = AnomalyDetector::analysis_time_histogram();
+  const obs::Histogram& h = StreamObserver::analysis_time_histogram();
   const std::uint64_t n = h.count();
   return n > 0 ? h.sum() / static_cast<double>(n) / 1000.0 : 0.0;
 }

@@ -25,7 +25,7 @@ int main() {
   pipeline::ScenarioRun run =
       pipeline::run_scenario(bench_config(), &attack, trigger,
                              /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/999);
+                             pipe.det().snapshot(), /*seed=*/999);
 
   print_detection_figure(
       run, pipe,

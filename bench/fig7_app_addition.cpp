@@ -26,7 +26,7 @@ int main() {
   pipeline::ScenarioRun run =
       pipeline::run_scenario(bench_config(), &attack, trigger,
                              /*duration=*/500 * interval,
-                             pipe.detector.get(), /*seed=*/777);
+                             pipe.det().snapshot(), /*seed=*/777);
 
   print_detection_figure(run, pipe,
                          "log10 Pr(M) over 500 intervals — qsort launched at "

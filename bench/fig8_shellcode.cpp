@@ -23,7 +23,7 @@ int main() {
   pipeline::ScenarioRun run =
       pipeline::run_scenario(bench_config(), &attack, trigger,
                              /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/888);
+                             pipe.det().snapshot(), /*seed=*/888);
 
   print_detection_figure(
       run, pipe,

@@ -24,7 +24,7 @@ int main() {
   pipeline::ScenarioRun run =
       pipeline::run_scenario(bench_config(), &attack, trigger,
                              /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/999);
+                             pipe.det().snapshot(), /*seed=*/999);
 
   LinePlotOptions plot;
   plot.title = "total number of accesses per interval — rootkit loaded at "

@@ -22,7 +22,6 @@
 #include "bench_support.hpp"
 #include "common/parallel.hpp"
 #include "obs/incident.hpp"
-#include "obs/model_health.hpp"
 #include "obs/obs.hpp"
 #include "obs/prof.hpp"
 #include "obs/server.hpp"
@@ -71,7 +70,7 @@ int main() {
 
   const sim::SystemConfig cfg = bench_config(1);
   const pipeline::ProfilingPlan plan = bench_plan();
-  const AnomalyDetector::Options opts = bench_detector_options();
+  const TrainOptions opts = bench_detector_options();
   const std::size_t hardware = configured_threads();
 
   std::vector<std::size_t> counts = {1, 2, 4};
@@ -80,7 +79,7 @@ int main() {
   std::vector<StageTimes> rows;
   // Kept from the last sweep iteration for the obs-overhead measurement
   // and the fast-PCA leg.
-  std::unique_ptr<AnomalyDetector> overhead_detector;
+  std::shared_ptr<const ModelSnapshot> overhead_model;
   HeatMapTrace overhead_validation;
   std::vector<std::vector<double>> overhead_train_raw;
   for (const std::size_t threads : counts) {
@@ -104,9 +103,8 @@ int main() {
     const bool prof_was_on = obs::prof::prof_enabled();
     obs::prof::set_prof_enabled(true);
     const auto stages_before = obs::prof::snapshot_stages();
-    AnomalyDetector detector =
-        AnomalyDetector::from_snapshot(std::make_shared<const ModelSnapshot>(
-            train_snapshot(train_raw, as_rows(validation), opts)));
+    const auto model = std::make_shared<const ModelSnapshot>(
+        train_snapshot(train_raw, as_rows(validation), opts));
     const auto stages_after = obs::prof::snapshot_stages();
     obs::prof::set_prof_enabled(prof_was_on);
     using obs::prof::Stage;
@@ -117,8 +115,8 @@ int main() {
         stage_seconds(stages_before, stages_after, {Stage::kTrainEm});
     row.train_total_seconds = seconds_since(t_train0);
 
-    // Scenario fan-out: independent seeded systems scored by the shared
-    // detector (run_scenarios parallelizes over specs).
+    // Scenario fan-out: independent seeded systems, one session each on the
+    // shared model (run_scenarios parallelizes over specs).
     const SimTime interval = cfg.monitor.interval;
     std::vector<pipeline::ScenarioSpec> specs;
     for (std::uint64_t s = 0; s < 4; ++s) {
@@ -128,15 +126,16 @@ int main() {
           .seed = 20000 + s});
     }
     t0 = Clock::now();
-    const auto scenario_runs = pipeline::run_scenarios(cfg, specs, &detector);
+    const auto scenario_runs = pipeline::run_scenarios(cfg, specs, model);
     row.scenario_batch_seconds = seconds_since(t0);
 
     // Online analyze latency (serial — the secure core scores one interval
     // at a time) and the determinism probe: score every validation map.
     reset_analysis_time();
+    engine::Session session = engine::DetectionEngine(model).new_session();
     row.probe_scores.reserve(validation.size());
     for (const auto& m : validation) {
-      row.probe_scores.push_back(detector.analyze(m).log10_density);
+      row.probe_scores.push_back(session.analyze(m).log10_density);
     }
     row.analyze_mean_us = analysis_mean_us();
     for (const auto& run : scenario_runs) {
@@ -145,7 +144,7 @@ int main() {
                               run_dens.end());
     }
     if (threads == counts.back()) {
-      overhead_detector = std::make_unique<AnomalyDetector>(std::move(detector));
+      overhead_model = model;
       overhead_validation = validation;
       overhead_train_raw = train_raw;
     }
@@ -199,7 +198,8 @@ int main() {
                   : "CONTRACT VIOLATION");
 
   // Observability overhead: the same fixed workload (scenario batch + serial
-  // analyze sweep) timed with the obs layer enabled and disabled. The
+  // analyze sweep through one session) timed with the obs layer enabled and
+  // disabled. The
   // contract is <2% — counters are sharded relaxed atomics and the journal
   // only does O(L) work on alarms, so the gap should be noise-level.
   const SimTime interval = cfg.monitor.interval;
@@ -215,16 +215,21 @@ int main() {
   // obs hot spot, and a multi-hundred-ms sample keeps timer noise well
   // under the 2% being measured.
   constexpr int kAnalyzeReps = 30;
-  const auto obs_workload = [&] {
-    const auto runs = pipeline::run_scenarios(cfg, overhead_specs,
-                                              overhead_detector.get());
+  const engine::DetectionEngine overhead_engine(overhead_model);
+  const auto sweep = [&](engine::Session& session) {
     double sink = 0.0;
     for (int rep = 0; rep < kAnalyzeReps; ++rep) {
       for (const auto& m : overhead_validation) {
-        sink += overhead_detector->analyze(m).log10_density;
+        sink += session.analyze(m).log10_density;
       }
     }
-    return sink + static_cast<double>(runs.size());
+    return sink;
+  };
+  engine::Session overhead_session = overhead_engine.new_session();
+  const auto obs_workload = [&] {
+    const auto runs =
+        pipeline::run_scenarios(cfg, overhead_specs, overhead_model);
+    return sweep(overhead_session) + static_cast<double>(runs.size());
   };
   const bool obs_was_enabled = obs::enabled();
   double obs_on_seconds = 1e300;
@@ -278,36 +283,27 @@ int main() {
                 "bind failed)\n");
   }
 
-  // Model-health overhead: the serial analyze sweep with the drift monitor
-  // attached vs. detached. The hook reuses the score and SPE analyze()
-  // already computed, so the marginal cost is a few P² marker updates, two
-  // drift-detector adds, and one mutex acquisition per interval — budgeted
-  // inside the same <2% obs contract.
+  // Model-health overhead: the serial analyze sweep through a session with
+  // the drift monitor attached vs. one without (attach_health). The hook
+  // reuses the score and SPE analyze() already computed, so the marginal
+  // cost is a few P² marker updates, two drift-detector adds, and one mutex
+  // acquisition per interval — budgeted inside the same <2% obs contract.
   obs::set_enabled(true);
-  const auto health_workload = [&] {
-    double sink = 0.0;
-    for (int rep = 0; rep < kAnalyzeReps; ++rep) {
-      for (const auto& m : overhead_validation) {
-        sink += overhead_detector->analyze(m).log10_density;
-      }
-    }
-    return sink;
-  };
-  const std::shared_ptr<obs::ModelHealthMonitor> health =
-      overhead_detector->model_health();
+  engine::SessionOptions health_off_opts;
+  health_off_opts.attach_health = false;
+  engine::Session health_on_session = overhead_engine.new_session();
+  engine::Session health_off_session =
+      overhead_engine.new_session(health_off_opts);
   double health_on_seconds = 1e300;
   double health_off_seconds = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    overhead_detector->set_model_health(health);
     auto t_mh = Clock::now();
-    obs_sink += health_workload();
+    obs_sink += sweep(health_on_session);
     health_on_seconds = std::min(health_on_seconds, seconds_since(t_mh));
-    overhead_detector->set_model_health(nullptr);
     t_mh = Clock::now();
-    obs_sink += health_workload();
+    obs_sink += sweep(health_off_session);
     health_off_seconds = std::min(health_off_seconds, seconds_since(t_mh));
   }
-  overhead_detector->set_model_health(health);
   obs::set_enabled(obs_was_enabled);
   const double model_health_overhead_pct =
       health_off_seconds > 0.0
@@ -318,7 +314,7 @@ int main() {
       "[bench] model-health overhead: on=%.3fs off=%.3fs (%+.2f%%)\n",
       health_on_seconds, health_off_seconds, model_health_overhead_pct);
 
-  // History + incident overhead: the serial analyze sweep through a detector
+  // History + incident overhead: the serial analyze sweep through a session
   // carrying the multi-resolution score history and an armed incident
   // recorder vs. one with both stripped. The history append is O(1) ring
   // arithmetic and the recorder is a bounded pre-ring plus burst bookkeeping
@@ -327,40 +323,24 @@ int main() {
   // model-health hook is detached on both sides so only the new layers are
   // in the difference.
   obs::set_enabled(true);
-  const std::shared_ptr<const ModelSnapshot> overhead_snapshot =
-      overhead_detector->snapshot();
-  StreamObserver::Options hist_off_opts;
-  hist_off_opts.attach_health = false;
+  engine::SessionOptions hist_off_opts = health_off_opts;
   hist_off_opts.history_raw = 0;
-  AnomalyDetector hist_off_detector =
-      AnomalyDetector::from_snapshot(overhead_snapshot, hist_off_opts);
-  StreamObserver::Options hist_on_opts;
-  hist_on_opts.attach_health = false;
-  AnomalyDetector hist_on_detector =
-      AnomalyDetector::from_snapshot(overhead_snapshot, hist_on_opts);
+  engine::Session hist_off_session = overhead_engine.new_session(hist_off_opts);
+  engine::Session hist_on_session = overhead_engine.new_session(health_off_opts);
   obs::IncidentStore::Options inc_store_opts;
   inc_store_opts.dir = ".";
   obs::IncidentOptions inc_opts;
   inc_opts.min_gap = 1ULL << 40;  // At most one bundle across the sweep.
-  hist_on_detector.attach_incidents(
+  hist_on_session.attach_incidents(
       inc_opts, std::make_shared<obs::IncidentStore>(inc_store_opts));
-  const auto history_workload = [&](AnomalyDetector& det) {
-    double sink = 0.0;
-    for (int rep = 0; rep < kAnalyzeReps; ++rep) {
-      for (const auto& m : overhead_validation) {
-        sink += det.analyze(m).log10_density;
-      }
-    }
-    return sink;
-  };
   double history_on_seconds = 1e300;
   double history_off_seconds = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
     auto t_hi = Clock::now();
-    obs_sink += history_workload(hist_on_detector);
+    obs_sink += sweep(hist_on_session);
     history_on_seconds = std::min(history_on_seconds, seconds_since(t_hi));
     t_hi = Clock::now();
-    obs_sink += history_workload(hist_off_detector);
+    obs_sink += sweep(hist_off_session);
     history_off_seconds = std::min(history_off_seconds, seconds_since(t_hi));
   }
   obs::set_enabled(obs_was_enabled);
@@ -378,16 +358,18 @@ int main() {
   // profiler is in the difference. A zone is one TSC read pair plus two
   // relaxed fetch_adds (hardware counters ride decimated entries only), so
   // the gap shares the same <2% obs contract — and unlike the other legs it
-  // is ENFORCED: the exit code fails when the paired best-of-3 exceeds 2%.
-  // Profiling must also never perturb scoring — the on/off score vectors
-  // are compared bit-for-bit.
+  // is ENFORCED in paper mode: the exit code fails when the paired
+  // best-of-3 exceeds 2%. Fast mode's sweep is too short to resolve 2%, so
+  // there the number is recorded but not judged. Profiling must also never
+  // perturb scoring — the on/off score vectors are compared bit-for-bit in
+  // both modes.
   obs::set_enabled(true);
   const bool prof_was_enabled = obs::prof::prof_enabled();
   const auto prof_workload = [&](std::vector<double>* scores) {
     double sink = 0.0;
     for (int rep = 0; rep < kAnalyzeReps; ++rep) {
       for (const auto& m : overhead_validation) {
-        const double d = overhead_detector->analyze(m).log10_density;
+        const double d = overhead_session.analyze(m).log10_density;
         sink += d;
         if (scores != nullptr && rep == 0) scores->push_back(d);
       }
@@ -415,13 +397,16 @@ int main() {
           ? 100.0 * (prof_on_seconds - prof_off_seconds) / prof_off_seconds
           : 0.0;
   const bool prof_bit_identical = prof_on_scores == prof_off_scores;
-  const bool prof_ok = prof_overhead_pct < 2.0 && prof_bit_identical;
+  const bool prof_ok =
+      prof_bit_identical && (fast_mode() || prof_overhead_pct < 2.0);
   std::printf("[bench] profiler overhead: on=%.3fs off=%.3fs (%+.2f%%, "
               "counters=%s, scores %s) — %s\n",
               prof_on_seconds, prof_off_seconds, prof_overhead_pct,
               obs::prof::counter_source(),
               prof_bit_identical ? "bit-identical" : "DIVERGED",
-              prof_ok ? "within the <2% contract" : "CONTRACT VIOLATION");
+              !prof_ok      ? "CONTRACT VIOLATION"
+              : fast_mode() ? "not judged (fast mode)"
+                            : "within the <2% contract");
 
   bool bit_identical = true;
   for (const auto& row : rows) {

@@ -39,7 +39,7 @@ ScenarioSummary run_one(const std::string& name,
   pipeline::ScenarioRun run =
       pipeline::run_scenario(config, attack.get(), trigger,
                              /*duration=*/400 * interval,
-                             pipe.detector.get(), /*seed=*/2718);
+                             pipe.det().snapshot(), /*seed=*/2718);
 
   if (print_plot) {
     LinePlotOptions plot;

@@ -11,8 +11,8 @@
 #include <sstream>
 
 #include "common/rng.hpp"
-#include "core/detector.hpp"
 #include "core/explainer.hpp"
+#include "engine/engine.hpp"
 #include "hw/address_trace.hpp"
 #include "hw/memometer.hpp"
 
@@ -81,17 +81,17 @@ int main() {
   std::printf("training: %zu maps, validation: %zu maps\n", training.size(),
               validation.size());
 
-  AnomalyDetector::Options opts;
+  TrainOptions opts;
   opts.pca.components = 4;
   opts.gmm.components = 3;
   opts.gmm.restarts = 4;
-  const AnomalyDetector detector =
-      AnomalyDetector::train(training, validation, opts);
+  const auto model = std::make_shared<const ModelSnapshot>(
+      train_snapshot(as_rows(training), as_rows(validation), opts));
   std::printf("trained: %zu eigenmemories explain %.3f%% of variance; "
               "theta_1 = %.2f\n",
-              detector.eigenmemory().components(),
-              100.0 * detector.eigenmemory().variance_explained(),
-              detector.primary_threshold().log10_value);
+              model->pca.components(),
+              100.0 * model->pca.variance_explained(),
+              model->primary.log10_value);
 
   // The foreign code executes from cells that carry *zero* training
   // variance, so its deviation is orthogonal to the eigenmemory subspace —
@@ -100,7 +100,7 @@ int main() {
   // statistic built for exactly this case.
   std::vector<std::vector<double>> validation_raw;
   for (const auto& m : validation) validation_raw.push_back(m.as_vector());
-  const SpeDetector spe(detector.eigenmemory(), validation_raw, 0.01);
+  const SpeDetector spe(model->pca, validation_raw, 0.01);
 
   // Test trace: normal first half, foreign code burst in the second half.
   const HeatMapTrace test =
@@ -109,9 +109,10 @@ int main() {
   std::size_t gmm_after = 0;
   std::size_t spe_before = 0;
   std::size_t spe_after = 0;
+  engine::Session session = engine::DetectionEngine(model).new_session();
   for (const auto& map : test) {
     const bool first_half = map.interval_index < test.size() / 2;
-    const Verdict v = detector.analyze(map);
+    const Verdict v = session.analyze(map);
     (first_half ? gmm_before : gmm_after) += v.anomalous;
     (first_half ? spe_before : spe_after) += spe.anomalous(map);
   }

@@ -54,38 +54,44 @@ int main() {
   const HeatMapTrace training(loaded.maps.begin(), split);
   const HeatMapTrace validation(split, loaded.maps.end());
 
+  const auto training_rows = as_rows(training);
+  const auto validation_rows = as_rows(validation);
   auto candidate = [&](std::size_t components, std::size_t j) {
-    AnomalyDetector::Options opts;
+    TrainOptions opts;
     opts.pca.components = components;
     opts.gmm.components = j;
     opts.gmm.restarts = 4;
-    return AnomalyDetector::train(training, validation, opts);
+    return train_snapshot(training_rows, validation_rows, opts);
   };
-  const AnomalyDetector small = candidate(5, 3);
-  const AnomalyDetector large = candidate(9, 5);
+  const ModelSnapshot small = candidate(5, 3);
+  const ModelSnapshot large = candidate(9, 5);
 
-  auto heldout_ll = [&](const AnomalyDetector& det) {
+  auto heldout_ll = [&](const ModelSnapshot& model) {
     double total = 0.0;
-    for (const auto& m : validation) total += det.score(m.as_vector());
+    for (double s : log10_scores(model.pca, model.gmm, validation_rows)) {
+      total += s;
+    }
     return total / static_cast<double>(validation.size());
   };
   const double ll_small = heldout_ll(small);
   const double ll_large = heldout_ll(large);
-  const AnomalyDetector& winner = ll_large >= ll_small ? large : small;
+  const ModelSnapshot& winner = ll_large >= ll_small ? large : small;
   std::printf("      held-out mean log10 density: L'=5/J=3 -> %.2f, "
               "L'=9/J=5 -> %.2f; shipping the %s model\n",
               ll_small, ll_large, &winner == &large ? "larger" : "smaller");
 
   // ---- 3. ship ----------------------------------------------------------
   std::printf("[3/4] shipping model to the secure core...\n");
-  save_model_file(DetectorModel::from_detector(winner), model_path);
-  const AnomalyDetector deployed = load_model_file(model_path).to_detector();
+  save_model_file(DetectorModel::from_snapshot(winner), model_path);
+  const std::shared_ptr<const ModelSnapshot> deployed =
+      load_model_file(model_path).to_snapshot();
+  engine::Session session = engine::DetectionEngine(deployed).new_session();
 
   // ---- 4. deploy with filter + SPE + forensics --------------------------
   std::printf("[4/4] monitoring a live system (shellcode at t = 2 s)...\n\n");
   std::vector<std::vector<double>> validation_raw;
   for (const auto& m : validation) validation_raw.push_back(m.as_vector());
-  const SpeDetector spe(deployed.eigenmemory(), validation_raw, 0.01);
+  const SpeDetector spe(deployed->pca, validation_raw, 0.01);
   const AnomalyExplainer explainer =
       AnomalyExplainer::from_trace(training);
 
@@ -99,7 +105,7 @@ int main() {
   std::size_t confirmed_alarms = 0;
   bool forensics_printed = false;
   system.set_interval_observer([&](const HeatMap& map) {
-    const Verdict v = deployed.analyze(map);
+    const Verdict v = session.analyze(map);
     const bool raw_alarm = v.anomalous || spe.anomalous(map);
     if (filter.feed(raw_alarm)) {
       ++confirmed_alarms;

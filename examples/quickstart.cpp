@@ -48,7 +48,7 @@ int main() {
   const SimTime trigger = 2500 * kMillisecond;
   pipeline::ScenarioRun run = pipeline::run_scenario(
       config, &attack, trigger, /*duration=*/5 * kSecond,
-      trained.detector.get(), /*seed=*/777);
+      trained.det().snapshot(), /*seed=*/777);
 
   std::printf("\nScenario '%s': %zu intervals, attack at interval %llu\n",
               run.scenario.c_str(), run.maps.size(),
@@ -70,7 +70,7 @@ int main() {
   plot.vlines = {static_cast<double>(run.trigger_interval)};
   std::fputs(render_line_plot(run.log10_densities(), plot).c_str(), stdout);
 
-  const obs::Histogram& hist = AnomalyDetector::analysis_time_histogram();
+  const obs::Histogram& hist = StreamObserver::analysis_time_histogram();
   std::printf("\nMean analysis time per MHM: %.1f us\n",
               hist.count() > 0
                   ? hist.sum() / static_cast<double>(hist.count()) / 1000.0

@@ -39,7 +39,7 @@ int main() {
   attacks::RootkitAttack attack(/*hijack_overhead=*/60 * kMicrosecond);
   pipeline::ScenarioRun run = pipeline::run_scenario(
       config, &attack, /*trigger=*/100 * interval,
-      /*duration=*/400 * interval, pipe.detector.get(), /*seed=*/1234);
+      /*duration=*/400 * interval, pipe.det().snapshot(), /*seed=*/1234);
 
   // --- view 1: what the volume baseline sees ---
   LinePlotOptions vol_plot;

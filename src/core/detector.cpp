@@ -7,74 +7,14 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "linalg/vector_ops.hpp"
-#include "obs/metrics.hpp"
-#include "obs/prof.hpp"
 
 namespace mhm {
-
-obs::Histogram& AnomalyDetector::analysis_time_histogram() {
-  return StreamObserver::analysis_time_histogram();
-}
-
-AnomalyDetector::AnomalyDetector(std::shared_ptr<const ModelSnapshot> snapshot,
-                                 const StreamObserver::Options& obs_options)
-    : snap_(std::move(snapshot)),
-      observer_(std::make_shared<StreamObserver>(*snap_, obs_options)) {}
-
-AnomalyDetector AnomalyDetector::assemble(Eigenmemory pca, Gmm gmm,
-                                          ThresholdCalibrator calibrator,
-                                          double primary_p) {
-  // ModelSnapshot::assemble validates the GMM against the eigenmemory count.
-  return AnomalyDetector(
-      ModelSnapshot::assemble(std::move(pca), std::move(gmm),
-                              std::move(calibrator), primary_p),
-      StreamObserver::Options{});
-}
-
-AnomalyDetector AnomalyDetector::train(
-    const std::vector<std::vector<double>>& training,
-    const std::vector<std::vector<double>>& validation,
-    const Options& options) {
-  // The observer is built once, with the final phase count from the
-  // options — per-phase metric handles are never re-keyed, so the registry
-  // carries no stale gauges from a pre-override bucket count.
-  StreamObserver::Options obs_options;
-  obs_options.journal_capacity = options.journal_capacity;
-  obs_options.phases = std::max<std::size_t>(1, options.journal_phases);
-  obs_options.top_cells = options.journal_top_cells;
-  return AnomalyDetector(std::make_shared<const ModelSnapshot>(
-                             train_snapshot(training, validation, options)),
-                         obs_options);
-}
 
 AnomalyDetector AnomalyDetector::train(const HeatMapTrace& training,
                                        const HeatMapTrace& validation,
                                        const Options& options) {
-  return train(as_rows(training), as_rows(validation), options);
-}
-
-double AnomalyDetector::score(const std::vector<double>& raw) const {
-  return snap_->gmm.log10_density(snap_->pca.project(raw));
-}
-
-Verdict AnomalyDetector::analyze(const std::vector<double>& raw,
-                                 std::uint64_t interval_index) const {
-  // Steady-state allocation-free: the scratch is per-instance, so two
-  // detectors with different model dimensions never resize each other's
-  // buffers (the old thread_local was shared by every detector on the
-  // thread). Concurrent scoring goes through per-thread copies — see the
-  // class comment.
-  PROF_ZONE(kAnalyze);
-  const Verdict v = score_snapshot(*snap_, raw, interval_index, scratch_);
-  {
-    PROF_ZONE(kScoreObserve);
-    observer_->record(*snap_, v, raw, scratch_.reduced);
-  }
-  return v;
-}
-
-Verdict AnomalyDetector::analyze(const HeatMap& map) const {
-  return analyze(map.as_vector(), map.interval_index);
+  return AnomalyDetector(std::make_shared<const ModelSnapshot>(
+      train_snapshot(as_rows(training), as_rows(validation), options)));
 }
 
 TrafficVolumeDetector::TrafficVolumeDetector(

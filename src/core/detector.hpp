@@ -1,162 +1,51 @@
 #pragma once
 
+// AnomalyDetector, a trained-model handle, and the two baselines the
+// ablations compare against it. The handle scores nothing: every verdict
+// comes from an engine::Session. It remains because the benchmark program
+// (perfbench/) compiles against exactly this surface: train(), Options,
+// snapshot(), the read-only model accessors, DetectorModel::from_detector
+// and pipeline::TrainedPipeline::detector. New code calls train_snapshot()
+// and keeps the ModelSnapshot.
+
 #include <cstddef>
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/gmm.hpp"
 #include "core/heatmap.hpp"
 #include "core/pca.hpp"
 #include "core/snapshot.hpp"
-#include "core/stream_observer.hpp"
-#include "obs/journal.hpp"
-
-namespace mhm::obs {
-class Histogram;
-class ModelHealthMonitor;
-}  // namespace mhm::obs
 
 namespace mhm {
 
-/// AnomalyDetector::train's knobs: the training routine's plus the
-/// observation stack's.
-struct DetectorOptions : TrainOptions {
-  /// Decision-journal ring capacity (0 keeps the journal default).
-  std::size_t journal_capacity = 0;
-  /// Modulus for the journal's hyperperiod-phase label (matches
-  /// PhaseAwareDetector::Options::phases).
-  std::size_t journal_phases = 10;
-  /// Cells ranked by |z| against the training baseline in each alarm's
-  /// journal record (0 disables the per-alarm explanation).
-  std::size_t journal_top_cells = 8;
-};
-
-/// The complete learning + detection pipeline of the paper (§4):
-/// eigenmemory projection -> GMM density -> threshold test.
-///
-/// Since the engine layer landed this is a thin single-stream façade over
-/// the same primitives engine::Session uses: an immutable ModelSnapshot
-/// scored with score_snapshot() and observed through a StreamObserver
-/// (journal, phase metrics, model health). It is kept for API
-/// compatibility — the batch pipeline and the benches drive it directly.
-/// The scoring scratch is per-instance (like engine::Session), so one
-/// detector must not be scored from several threads at once; copies are
-/// cheap (two shared_ptrs plus empty scratch) and share the model, the
-/// journal and the health monitor, so concurrent scenario runs give each
-/// thread its own copy and still aggregate into one observation stream —
-/// run_scenarios does exactly that.
+/// A trained model of the paper's pipeline (§4): eigenmemory projection,
+/// GMM density and the calibrated thresholds, held as one immutable shared
+/// ModelSnapshot. Score it through an engine::Session opened on snapshot().
 class AnomalyDetector {
  public:
-  using Options = DetectorOptions;
+  using Options = TrainOptions;
 
   /// Train from normal-behaviour maps and calibrate thresholds on a second,
-  /// disjoint set of normal maps: train_snapshot() behind a fresh
-  /// observation stack.
+  /// disjoint set of normal maps: train_snapshot() behind a shared handle.
   static AnomalyDetector train(const HeatMapTrace& training,
                                const HeatMapTrace& validation,
                                const Options& options = {});
-
-  /// Same, over raw vectors.
-  static AnomalyDetector train(
-      const std::vector<std::vector<double>>& training,
-      const std::vector<std::vector<double>>& validation,
-      const Options& options = {});
-
-  /// Analyze one MHM: project, score, compare against the primary threshold.
-  /// Timed — `Verdict::analysis_time` is the wall-clock cost of projection +
-  /// density evaluation (the §5.4 measurement). Allocation-free in steady
-  /// state (per-instance scratch buffers); score concurrently through
-  /// per-thread copies, not one shared instance.
-  Verdict analyze(const HeatMap& map) const;
-  Verdict analyze(const std::vector<double>& raw,
-                  std::uint64_t interval_index = 0) const;
-
-  /// Score only (log10 density), untimed.
-  double score(const std::vector<double>& raw) const;
 
   const Eigenmemory& eigenmemory() const { return snap_->pca; }
   const Gmm& gmm() const { return snap_->gmm; }
   const ThresholdCalibrator& thresholds() const { return snap_->calibrator; }
   Threshold primary_threshold() const { return snap_->primary; }
 
-  /// The immutable model this detector scores with — the handle a
-  /// DetectionEngine (or a ModelRegistry save) takes, shared, not copied.
+  /// The immutable model — the handle a DetectionEngine (or a
+  /// ModelRegistry save) takes, shared, not copied.
   std::shared_ptr<const ModelSnapshot> snapshot() const { return snap_; }
 
-  /// The process-wide `detector.analysis_ns` registry histogram — every
-  /// analyze() call in the process observes into it. Benches and tests that
-  /// want a per-run mean reset it before the run and read sum()/count()
-  /// after (it records nothing while observability is disabled).
-  static obs::Histogram& analysis_time_histogram();
-
-  /// Per-interval decision journal (shared between copies of the detector).
-  /// Always present; empty while observability is disabled.
-  obs::DecisionJournal& journal() const { return observer_->journal(); }
-  /// Shared handle for consumers that outlive this detector object — the
-  /// monitoring endpoint and the flight recorder hold one.
-  std::shared_ptr<const obs::DecisionJournal> journal_ptr() const {
-    return observer_->journal_ptr();
-  }
-
-  /// Online model-health monitor fed by analyze(): score-drift detectors,
-  /// calibration tracking and component occupancy (src/obs/model_health).
-  /// Shared between copies of the detector; null when detached
-  /// (set_model_health(nullptr) or MHM_DRIFT_DISABLE=1).
-  std::shared_ptr<obs::ModelHealthMonitor> model_health() const {
-    return observer_->model_health();
-  }
-  /// Swap or detach (nullptr) the monitor — the perf bench measures the
-  /// hook's cost by detaching and re-attaching.
-  void set_model_health(std::shared_ptr<obs::ModelHealthMonitor> monitor) {
-    observer_->set_model_health(std::move(monitor));
-  }
-
-  /// Multi-resolution score history fed by analyze() (src/obs/history).
-  std::shared_ptr<obs::ScoreHistory> score_history() const {
-    return observer_->score_history();
-  }
-  /// Attach the incident black box: alarm bursts / health transitions on
-  /// this detector's stream commit `.mhmi` bundles into `store`.
-  void attach_incidents(const obs::IncidentOptions& options,
-                        std::shared_ptr<obs::IncidentStore> store) {
-    observer_->attach_incidents(options, std::move(store));
-  }
-  std::shared_ptr<obs::IncidentRecorder> incident_recorder() const {
-    return observer_->incident_recorder();
-  }
-
-  /// Reassemble from previously trained parts (deserialization): dimension
-  /// compatibility between the PCA output and the GMM is validated. The
-  /// assembled detector carries no CellBaseline (the raw training set is
-  /// gone after serialization), so its journal records have no top_cells.
-  static AnomalyDetector assemble(Eigenmemory pca, Gmm gmm,
-                                  ThresholdCalibrator calibrator,
-                                  double primary_p);
-
-  /// Façade over an existing snapshot — keeps the snapshot's CellBaseline
-  /// and version stamp. This is how `mhm_tool serve` re-hangs a freshly
-  /// registry-saved model (now carrying its registry version) in front of
-  /// the same observation stack.
-  static AnomalyDetector from_snapshot(
-      std::shared_ptr<const ModelSnapshot> snapshot,
-      const StreamObserver::Options& obs_options = {}) {
-    return AnomalyDetector(std::move(snapshot), obs_options);
-  }
-
  private:
-  AnomalyDetector(std::shared_ptr<const ModelSnapshot> snapshot,
-                  const StreamObserver::Options& obs_options);
+  explicit AnomalyDetector(std::shared_ptr<const ModelSnapshot> snapshot)
+      : snap_(std::move(snapshot)) {}
 
   std::shared_ptr<const ModelSnapshot> snap_;
-  /// Shared between copies so a copied detector journals into (and reports
-  /// health through) the same stream — the run_scenarios fan-out relies on
-  /// one aggregated journal.
-  std::shared_ptr<StreamObserver> observer_;
-  /// Per-instance scoring scratch (reaches its final size on the first
-  /// analyze, then allocation-free). Mutable: analyze() is logically const.
-  mutable ScoreScratch scratch_;
 };
 
 /// Baseline detector from Figure 9's discussion: watch only the total

@@ -73,6 +73,31 @@ double read_f64(std::istream& in) {
   return d;
 }
 
+/// Reject a header count whose payload (count items of at least
+/// `item_bytes` each) cannot fit in what a seekable stream still holds: an
+/// inflated count then fails on its claim instead of allocating for it
+/// first. Claims up to 1 MiB skip the two seeks: allocating one is
+/// harmless, and a paper-scale model has no larger field, so its load
+/// never seeks.
+void check_fits(std::istream& in, std::uint64_t count,
+                std::uint64_t item_bytes, const char* what) {
+  if (count <= (std::uint64_t{1} << 20) / item_bytes) return;
+  const std::streampos here = in.tellg();
+  if (here == std::streampos(-1)) return;
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  const std::uint64_t remaining =
+      end > here ? static_cast<std::uint64_t>(end - here) : 0;
+  if (count > remaining / item_bytes) {
+    throw SerializationError(std::string("model_io: truncated stream (") +
+                             what + " claims " + std::to_string(count) +
+                             " items, " + std::to_string(remaining) +
+                             " bytes remain)");
+  }
+}
+
 std::vector<double> read_f64_vector(std::istream& in,
                                     std::uint64_t sanity_limit) {
   const std::uint64_t count = read_u64(in);
@@ -80,6 +105,7 @@ std::vector<double> read_f64_vector(std::istream& in,
     throw SerializationError("model_io: implausible vector length " +
                              std::to_string(count));
   }
+  check_fits(in, count, sizeof(double), "vector");
   std::vector<double> out(count);
   for (auto& v : out) v = read_f64(in);
   return out;
@@ -121,6 +147,7 @@ Eigenmemory load_eigenmemory(std::istream& in, std::uint32_t format_version) {
   if (mean.size() != dim) {
     throw SerializationError("model_io: mean length mismatch");
   }
+  check_fits(in, components * dim, sizeof(double), "basis");
   linalg::Matrix basis(components, dim);
   for (std::size_t k = 0; k < components; ++k) {
     for (std::size_t i = 0; i < dim; ++i) basis(k, i) = read_f64(in);
@@ -152,6 +179,9 @@ Gmm load_gmm(std::istream& in) {
   if (dim == 0 || dim > kSanityLimit || count == 0 || count > kSanityLimit) {
     throw SerializationError("model_io: implausible GMM shape");
   }
+  // Each component is a weight, a length-prefixed mean and a dim × dim
+  // covariance.
+  check_fits(in, count, 8 * (2 + dim + dim * dim), "gmm components");
   std::vector<GmmComponent> components(count);
   for (auto& comp : components) {
     comp.weight = read_f64(in);
@@ -168,10 +198,6 @@ Gmm load_gmm(std::istream& in) {
     throw SerializationError(std::string("model_io: invalid GMM payload: ") +
                              e.what());
   }
-}
-
-AnomalyDetector DetectorModel::to_detector() const {
-  return AnomalyDetector::from_snapshot(to_snapshot());
 }
 
 std::shared_ptr<const ModelSnapshot> DetectorModel::to_snapshot(

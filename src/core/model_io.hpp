@@ -36,9 +36,6 @@ struct DetectorModel {
   std::vector<double> validation_scores;  ///< For re-deriving any θ_p.
   double primary_p = 0.01;
 
-  /// Reassemble a working detector (recomputes GMM caches, θ_p).
-  AnomalyDetector to_detector() const;
-
   /// Reassemble an immutable scoring snapshot (the engine-layer artifact);
   /// `version` becomes the Verdict::model_version stamp. The snapshot
   /// carries no CellBaseline — the raw training set is not serialized.

@@ -84,19 +84,7 @@ Session::Session(std::shared_ptr<detail::EngineShared> shared,
   std::lock_guard<std::mutex> lk(shared_->mu);
   snap_ = shared_->current;
   epoch_ = shared_->epoch.load(std::memory_order_acquire);
-  StreamObserver::Options obs_options;
-  obs_options.journal_capacity = options.journal_capacity;
-  obs_options.phases = options.phases;
-  obs_options.top_cells = options.top_cells;
-  obs_options.health_history = options.health_history;
-  obs_options.health_row_stride = options.health_row_stride;
-  obs_options.health_max_events = options.health_max_events;
-  obs_options.attach_health = options.attach_health;
-  obs_options.history_raw = options.history_raw;
-  obs_options.history_bins = options.history_bins;
-  obs_options.history_fold = options.history_fold;
-  obs_options.history_tiers = options.history_tiers;
-  observer_ = std::make_unique<StreamObserver>(*snap_, obs_options);
+  observer_ = std::make_unique<StreamObserver>(*snap_, options);
   if (options.clean_window_capacity > 0) {
     window_ = std::make_shared<NormalWindow>(options.clean_window_capacity);
   }

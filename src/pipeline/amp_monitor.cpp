@@ -8,7 +8,7 @@
 namespace mhm::pipeline {
 
 std::size_t AmpMonitor::attach(sim::System& system,
-                               const AnomalyDetector& detector,
+                               std::shared_ptr<const ModelSnapshot> model,
                                std::string name) {
   const SimTime interval = system.config().monitor.interval;
   if (interval_ == 0) {
@@ -18,13 +18,12 @@ std::size_t AmpMonitor::attach(sim::System& system,
         "AmpMonitor: all instances must share the monitoring interval");
   }
   const std::size_t index = instances_.size();
-  instances_.push_back(Instance{&system, &detector,
-                                name.empty() ? "os" + std::to_string(index)
-                                             : std::move(name),
-                                {}});
+  instances_.push_back(Instance{
+      &system, engine::DetectionEngine(std::move(model)).new_session(),
+      name.empty() ? "os" + std::to_string(index) : std::move(name), {}});
   system.set_interval_observer([this, index](const HeatMap& map) {
     Instance& inst = instances_[index];
-    const Verdict v = inst.detector->analyze(map);
+    const Verdict v = inst.session.analyze(map);
     if (v.anomalous) {
       alarms_.push_back(InstanceAlarm{.instance = index,
                                       .interval_index = v.interval_index,

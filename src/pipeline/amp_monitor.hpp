@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "core/detector.hpp"
+#include "engine/engine.hpp"
 #include "pipeline/secure_core.hpp"
 #include "sim/system.hpp"
 
@@ -14,9 +14,9 @@ namespace mhm::pipeline {
 ///
 /// "For AMP architectures on which multiple OSes run, the Memometer should
 /// be replicated for each OS instance." Each monitored instance keeps its
-/// own Memometer and its own trained detector (different OS images have
-/// different normal behaviour), while a single secure core performs all the
-/// analyses. The real-time budget becomes Σ analysis times ≤ interval; this
+/// own Memometer and its own trained model (different OS images have
+/// different normal behaviour), scored through its own session, while a
+/// single secure core performs all the analyses. The real-time budget becomes Σ analysis times ≤ interval; this
 /// class accounts for it the way SecureCoreMonitor does for one instance.
 class AmpMonitor {
  public:
@@ -27,10 +27,15 @@ class AmpMonitor {
   };
 
   AmpMonitor() = default;
+  /// Each system's interval observer holds `this`.
+  AmpMonitor(const AmpMonitor&) = delete;
+  AmpMonitor& operator=(const AmpMonitor&) = delete;
 
-  /// Attach one monitored instance. `system` and `detector` must outlive
-  /// the monitor and the run. Returns the instance index.
-  std::size_t attach(sim::System& system, const AnomalyDetector& detector,
+  /// Attach one monitored instance, scored by a session of its own on
+  /// `model`. `system` must outlive the monitor and the run. Returns the
+  /// instance index.
+  std::size_t attach(sim::System& system,
+                     std::shared_ptr<const ModelSnapshot> model,
                      std::string name = {});
 
   /// Run every attached instance for `duration` (they advance in lockstep
@@ -55,7 +60,7 @@ class AmpMonitor {
  private:
   struct Instance {
     sim::System* system = nullptr;
-    const AnomalyDetector* detector = nullptr;
+    engine::Session session;
     std::string name;
     std::vector<Verdict> verdicts;
   };

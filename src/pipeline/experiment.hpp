@@ -32,13 +32,18 @@ HeatMapTrace collect_normal_trace(const sim::SystemConfig& config,
 struct ScenarioRun {
   std::string scenario;                 ///< "normal" or the attack name.
   HeatMapTrace maps;                    ///< Every completed interval.
-  std::vector<Verdict> verdicts;        ///< One per interval (if detector).
+  std::vector<Verdict> verdicts;        ///< One per interval (if a model).
   std::vector<double> traffic_volumes;  ///< Total accesses per interval.
   std::uint64_t trigger_interval = 0;   ///< First attacked interval index.
   SimTime interval = 0;
+  /// The scoring session's decision journal and model-health monitor —
+  /// this scenario's intervals only. Null when the run had no model (and
+  /// `health` also when the monitor is detached, MHM_DRIFT_DISABLE=1).
+  std::shared_ptr<const obs::DecisionJournal> journal;
+  std::shared_ptr<obs::ModelHealthMonitor> health;
 
   /// Scores in interval order, derived from the verdicts (empty when the
-  /// run had no detector).
+  /// run had no model).
   std::vector<double> log10_densities() const;
 
   /// False-positive count among intervals strictly before the trigger,
@@ -53,12 +58,12 @@ struct ScenarioRun {
 };
 
 /// Run a scenario: simulate `duration`, optionally arming `attack` at
-/// `trigger_time`, scoring every interval with `detector` (may be null for
-/// collection-only runs).
+/// `trigger_time`, scoring every interval through one engine::Session on
+/// `model` (null for collection-only runs).
 ScenarioRun run_scenario(const sim::SystemConfig& config,
                          attacks::AttackScenario* attack,
                          SimTime trigger_time, SimTime duration,
-                         const AnomalyDetector* detector,
+                         std::shared_ptr<const ModelSnapshot> model,
                          std::uint64_t seed);
 
 /// One entry of a scenario fan-out batch.
@@ -71,15 +76,15 @@ struct ScenarioSpec {
 };
 
 /// Run a batch of scenarios concurrently — one independent seeded
-/// sim::System each — returning results in spec order. Equivalent to (and
-/// bit-identical with) calling run_scenario() in a loop; the shared
-/// `detector` may be scored from several threads at once.
-std::vector<ScenarioRun> run_scenarios(const sim::SystemConfig& config,
-                                       const std::vector<ScenarioSpec>& specs,
-                                       const AnomalyDetector* detector);
+/// sim::System and one Session each — returning results in spec order.
+/// Equivalent to (and bit-identical with) calling run_scenario() in a
+/// loop, journals and model health included, at any MHM_THREADS.
+std::vector<ScenarioRun> run_scenarios(
+    const sim::SystemConfig& config, const std::vector<ScenarioSpec>& specs,
+    const std::shared_ptr<const ModelSnapshot>& model);
 
 /// Everything needed to reproduce the paper's evaluation: a trained
-/// detector plus the thresholds and the traces that produced it.
+/// model plus the thresholds and the traces that produced it.
 struct TrainedPipeline {
   std::unique_ptr<AnomalyDetector> detector;
   HeatMapTrace training;

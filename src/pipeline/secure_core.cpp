@@ -4,12 +4,12 @@
 
 namespace mhm::pipeline {
 
-SecureCoreMonitor::SecureCoreMonitor(sim::System& system,
-                                     const AnomalyDetector& detector)
-    : detector_(&detector),
+SecureCoreMonitor::SecureCoreMonitor(
+    sim::System& system, std::shared_ptr<const ModelSnapshot> model)
+    : session_(engine::DetectionEngine(std::move(model)).new_session()),
       interval_length_(system.config().monitor.interval) {
   system.set_interval_observer([this](const HeatMap& map) {
-    Verdict v = detector_->analyze(map);
+    Verdict v = session_.analyze(map);
     if (static_cast<SimTime>(v.analysis_time.count()) > interval_length_) {
       ++overruns_;
     }

@@ -4,8 +4,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/detector.hpp"
 #include "core/heatmap.hpp"
+#include "engine/engine.hpp"
 #include "sim/system.hpp"
 
 namespace mhm::pipeline {
@@ -26,9 +26,14 @@ class SecureCoreMonitor {
     double log10_density = 0.0;
   };
 
-  /// Attach to `system`; every completed interval is analyzed with
-  /// `detector` (not owned; must outlive the monitor and the run).
-  SecureCoreMonitor(sim::System& system, const AnomalyDetector& detector);
+  /// Attach to `system` (not owned; must outlive the monitor and the run);
+  /// every completed interval is analyzed by the monitor's own session on
+  /// `model`.
+  SecureCoreMonitor(sim::System& system,
+                    std::shared_ptr<const ModelSnapshot> model);
+  /// The system's interval observer holds `this`.
+  SecureCoreMonitor(const SecureCoreMonitor&) = delete;
+  SecureCoreMonitor& operator=(const SecureCoreMonitor&) = delete;
 
   /// Optional callback fired on every anomalous interval (e.g. to trigger a
   /// recovery action in a Simplex-style architecture).
@@ -45,7 +50,7 @@ class SecureCoreMonitor {
   double mean_analysis_time_ns() const;
 
  private:
-  const AnomalyDetector* detector_;
+  engine::Session session_;
   SimTime interval_length_;
   std::vector<Verdict> verdicts_;
   std::vector<Alarm> alarms_;

@@ -46,12 +46,12 @@ TEST_F(AmpMonitorTest, RejectsEmptyAndMismatchedConfigs) {
 
   sim::SystemConfig cfg_a = fast_test_config();
   sim::System sys_a(cfg_a);
-  monitor.attach(sys_a, pipe_a_->det());
+  monitor.attach(sys_a, pipe_a_->det().snapshot());
 
   sim::SystemConfig cfg_b = fast_test_config();
   cfg_b.monitor.interval = 20 * kMillisecond;  // mismatched interval
   sim::System sys_b(cfg_b);
-  EXPECT_THROW(monitor.attach(sys_b, pipe_a_->det()), ConfigError);
+  EXPECT_THROW(monitor.attach(sys_b, pipe_a_->det().snapshot()), ConfigError);
 }
 
 TEST_F(AmpMonitorTest, MonitorsTwoInstancesIndependently) {
@@ -59,13 +59,13 @@ TEST_F(AmpMonitorTest, MonitorsTwoInstancesIndependently) {
   sim::SystemConfig cfg_a = fast_test_config();
   cfg_a.seed = 71;
   sim::System sys_a(cfg_a);
-  monitor.attach(sys_a, pipe_a_->det(), "mibench_os");
+  monitor.attach(sys_a, pipe_a_->det().snapshot(), "mibench_os");
 
   sim::SystemConfig cfg_b = fast_test_config();
   cfg_b.tasks = sim::avionics_task_set();
   cfg_b.seed = 72;
   sim::System sys_b(cfg_b);
-  monitor.attach(sys_b, pipe_b_->det(), "avionics_os");
+  monitor.attach(sys_b, pipe_b_->det().snapshot(), "avionics_os");
 
   EXPECT_EQ(monitor.instance_count(), 2u);
   EXPECT_EQ(monitor.name(0), "mibench_os");
@@ -83,13 +83,13 @@ TEST_F(AmpMonitorTest, AttackOnOneInstanceAlarmsOnlyThatInstance) {
   sim::SystemConfig cfg_a = fast_test_config();
   cfg_a.seed = 81;
   sim::System sys_a(cfg_a);
-  monitor.attach(sys_a, pipe_a_->det(), "victim");
+  monitor.attach(sys_a, pipe_a_->det().snapshot(), "victim");
 
   sim::SystemConfig cfg_b = fast_test_config();
   cfg_b.tasks = sim::avionics_task_set();
   cfg_b.seed = 82;
   sim::System sys_b(cfg_b);
-  monitor.attach(sys_b, pipe_b_->det(), "bystander");
+  monitor.attach(sys_b, pipe_b_->det().snapshot(), "bystander");
 
   attacks::ShellcodeAttack attack("bitcount");
   attack.arm(sys_a, 1 * kSecond);
@@ -112,7 +112,7 @@ TEST_F(AmpMonitorTest, BudgetAccountingScalesWithInstances) {
     sim::SystemConfig cfg = fast_test_config();
     cfg.seed = 90 + i;
     systems.push_back(std::make_unique<sim::System>(cfg));
-    monitor.attach(*systems.back(), pipe_a_->det());
+    monitor.attach(*systems.back(), pipe_a_->det().snapshot());
   }
   monitor.run_all(1 * kSecond);
   // Sum of three software analyses is far below the 10 ms interval. Judge
@@ -128,7 +128,7 @@ TEST_F(AmpMonitorTest, AccessorsValidateInstanceIndex) {
   AmpMonitor monitor;
   sim::SystemConfig cfg = fast_test_config();
   sim::System sys(cfg);
-  monitor.attach(sys, pipe_a_->det());
+  monitor.attach(sys, pipe_a_->det().snapshot());
   EXPECT_THROW(monitor.verdicts(1), LogicError);
   EXPECT_THROW(monitor.name(1), LogicError);
 }

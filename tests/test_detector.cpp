@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "engine/engine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 
@@ -58,6 +59,18 @@ AnomalyDetector::Options small_options() {
   return opts;
 }
 
+std::shared_ptr<const ModelSnapshot> train_model(
+    const std::vector<std::vector<double>>& training,
+    const std::vector<std::vector<double>>& validation,
+    const TrainOptions& options) {
+  return std::make_shared<const ModelSnapshot>(
+      train_snapshot(training, validation, options));
+}
+
+engine::Session open_session(std::shared_ptr<const ModelSnapshot> model) {
+  return engine::DetectionEngine(std::move(model)).new_session();
+}
+
 TEST(ThresholdCalibrator, QuantileSemantics) {
   std::vector<double> scores;
   for (int i = 0; i < 1000; ++i) scores.push_back(static_cast<double>(i));
@@ -79,25 +92,28 @@ TEST(ThresholdCalibrator, RejectsBadInput) {
 TEST(AnomalyDetector, TrainRejectsEmptySets) {
   SyntheticWorld world(1);
   const auto normal = world.batch(50, false);
-  EXPECT_THROW(
-      AnomalyDetector::train(std::vector<std::vector<double>>{}, normal),
-      ConfigError);
-  EXPECT_THROW(
-      AnomalyDetector::train(normal, std::vector<std::vector<double>>{}),
-      ConfigError);
+  EXPECT_THROW(train_snapshot({}, normal, {}), ConfigError);
+  EXPECT_THROW(train_snapshot(normal, {}, {}), ConfigError);
 }
 
 TEST(AnomalyDetector, NormalScoresAboveAnomalousScores) {
   SyntheticWorld world(2);
-  const auto det = AnomalyDetector::train(world.batch(600, false),
-                                          world.batch(200, false),
-                                          small_options());
-  double normal_mean = 0.0;
-  double anomaly_mean = 0.0;
+  const auto model = train_model(world.batch(600, false),
+                                 world.batch(200, false), small_options());
+  std::vector<std::vector<double>> normal;
+  std::vector<std::vector<double>> anomalous;
   const int n = 100;
   for (int i = 0; i < n; ++i) {
-    normal_mean += det.score(world.normal_sample());
-    anomaly_mean += det.score(world.anomalous_sample());
+    normal.push_back(world.normal_sample());
+    anomalous.push_back(world.anomalous_sample());
+  }
+  double normal_mean = 0.0;
+  double anomaly_mean = 0.0;
+  for (double s : log10_scores(model->pca, model->gmm, normal)) {
+    normal_mean += s;
+  }
+  for (double s : log10_scores(model->pca, model->gmm, anomalous)) {
+    anomaly_mean += s;
   }
   EXPECT_GT(normal_mean / n, anomaly_mean / n + 5.0);
 }
@@ -108,12 +124,12 @@ TEST(AnomalyDetector, FalsePositiveRateTracksP) {
   SyntheticWorld world(3);
   AnomalyDetector::Options opts = small_options();
   opts.primary_p = 0.05;
-  const auto det = AnomalyDetector::train(world.batch(800, false),
-                                          world.batch(400, false), opts);
+  engine::Session session = open_session(
+      train_model(world.batch(800, false), world.batch(400, false), opts));
   std::size_t alarms = 0;
   const std::size_t n = 1000;
   for (std::size_t i = 0; i < n; ++i) {
-    alarms += det.analyze(world.normal_sample(), i).anomalous;
+    alarms += session.analyze(world.normal_sample(), i).anomalous;
   }
   const double fp_rate = static_cast<double>(alarms) / n;
   EXPECT_GT(fp_rate, 0.01);
@@ -122,26 +138,25 @@ TEST(AnomalyDetector, FalsePositiveRateTracksP) {
 
 TEST(AnomalyDetector, DetectsDistributionShift) {
   SyntheticWorld world(4);
-  const auto det = AnomalyDetector::train(world.batch(600, false),
-                                          world.batch(300, false),
-                                          small_options());
+  engine::Session session = open_session(train_model(
+      world.batch(600, false), world.batch(300, false), small_options()));
   std::size_t detected = 0;
   const std::size_t n = 200;
   for (std::size_t i = 0; i < n; ++i) {
-    detected += det.analyze(world.anomalous_sample(), i).anomalous;
+    detected += session.analyze(world.anomalous_sample(), i).anomalous;
   }
   EXPECT_GT(static_cast<double>(detected) / n, 0.9);
 }
 
 TEST(AnomalyDetector, VerdictCarriesMetadata) {
   SyntheticWorld world(5);
-  const auto det = AnomalyDetector::train(world.batch(300, false),
-                                          world.batch(150, false),
-                                          small_options());
-  const auto v = det.analyze(world.normal_sample(), 42);
+  const auto model = train_model(world.batch(300, false),
+                                 world.batch(150, false), small_options());
+  engine::Session session = open_session(model);
+  const auto v = session.analyze(world.normal_sample(), 42);
   EXPECT_EQ(v.interval_index, 42u);
   EXPECT_TRUE(std::isfinite(v.log10_density));
-  EXPECT_LT(v.nearest_pattern, det.gmm().component_count());
+  EXPECT_LT(v.nearest_pattern, model->gmm.component_count());
   EXPECT_GT(v.analysis_time.count(), 0);
 }
 
@@ -151,12 +166,13 @@ TEST(AnomalyDetector, TimingHistogramAccumulates) {
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
 
   SyntheticWorld world(6);
-  auto det = AnomalyDetector::train(world.batch(300, false),
-                                          world.batch(150, false),
-                                          small_options());
-  obs::Histogram& hist = AnomalyDetector::analysis_time_histogram();
+  engine::Session session = open_session(train_model(
+      world.batch(300, false), world.batch(150, false), small_options()));
+  obs::Histogram& hist = StreamObserver::analysis_time_histogram();
   hist.reset();
-  for (int i = 0; i < 10; ++i) (void)det.analyze(world.normal_sample());
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    (void)session.analyze(world.normal_sample(), i);
+  }
   EXPECT_EQ(hist.count(), 10u);
   EXPECT_GT(hist.sum(), 0.0);
 
@@ -172,20 +188,19 @@ TEST(AnomalyDetector, JournalMatchesVerdictsBitForBit) {
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
 
   SyntheticWorld world(11);
-  const auto det = AnomalyDetector::train(world.batch(500, false),
-                                          world.batch(200, false),
-                                          small_options());
-  det.journal().clear();
+  const auto model = train_model(world.batch(500, false),
+                                 world.batch(200, false), small_options());
+  engine::Session session = open_session(model);
 
   std::vector<std::vector<double>> samples;
   std::vector<Verdict> verdicts;
   for (std::uint64_t i = 0; i < 50; ++i) {
     samples.push_back(i % 5 == 4 ? world.anomalous_sample()
                                  : world.normal_sample());
-    verdicts.push_back(det.analyze(samples.back(), i));
+    verdicts.push_back(session.analyze(samples.back(), i));
   }
 
-  const auto records = det.journal().snapshot();
+  const auto records = session.journal().snapshot();
   ASSERT_EQ(records.size(), verdicts.size());
   for (std::size_t i = 0; i < verdicts.size(); ++i) {
     const auto& rec = records[i];
@@ -194,9 +209,9 @@ TEST(AnomalyDetector, JournalMatchesVerdictsBitForBit) {
     EXPECT_EQ(rec.log10_density, v.log10_density);  // bit-for-bit
     EXPECT_EQ(rec.alarm, v.anomalous);
     EXPECT_EQ(rec.nearest_pattern, v.nearest_pattern);
-    EXPECT_EQ(rec.threshold, det.primary_threshold().log10_value);
+    EXPECT_EQ(rec.threshold, model->primary.log10_value);
     // The stored projection is exactly what the eigenmemory produces.
-    EXPECT_EQ(rec.reduced_coords, det.eigenmemory().project(samples[i]));
+    EXPECT_EQ(rec.reduced_coords, model->pca.project(samples[i]));
     if (rec.alarm) {
       EXPECT_FALSE(rec.top_cells.empty());
     } else {
@@ -204,7 +219,7 @@ TEST(AnomalyDetector, JournalMatchesVerdictsBitForBit) {
     }
   }
 
-  std::size_t journal_alarms = det.journal().alarms().size();
+  std::size_t journal_alarms = session.journal().alarms().size();
   std::size_t verdict_alarms = 0;
   for (const auto& v : verdicts) verdict_alarms += v.anomalous;
   EXPECT_EQ(journal_alarms, verdict_alarms);
@@ -234,7 +249,8 @@ TEST(AnomalyDetector, AnalyzeHeatMapOverload) {
   opts.gmm.components = 2;
   opts.gmm.restarts = 2;
   const auto det = AnomalyDetector::train(train_maps, valid_maps, opts);
-  const auto v = det.analyze(train_maps.front());
+  engine::Session session = open_session(det.snapshot());
+  const auto v = session.analyze(train_maps.front());
   EXPECT_EQ(v.interval_index, 0u);
   EXPECT_FALSE(v.anomalous);  // training data must look normal
 }

@@ -1,9 +1,8 @@
-// Engine-layer tests: interval sources, sessions vs. the façade, the model
-// registry, concurrent streams and hot model swaps. The Golden* tests pin
-// the exact (bit-level) verdict stream of the fast test pipeline as
-// captured before the engine refactor — run_scenario()'s move onto
-// SimIntervalSource and the detector façade's move onto ModelSnapshot +
-// score_snapshot() must not change a single bit.
+// Engine-layer tests: interval sources, sessions, the model registry,
+// concurrent streams and hot model swaps. The Golden* tests pin the exact
+// (bit-level) verdict stream of the fast test pipeline as captured before
+// the engine refactor — run_scenario()'s move onto SimIntervalSource and
+// onto one Session per scenario must not change a single bit.
 
 #include <gtest/gtest.h>
 
@@ -93,18 +92,21 @@ AnomalyDetector::Options tiny_options(std::size_t pca_components = 4) {
   return opts;
 }
 
-// Must run before anything in this binary constructs a detector with the
+// Must run before anything in this binary opens a session with the
 // default 10-phase journal: the phase metric handles are registered under
 // the *final* phase count only. The pre-engine detector registered its
 // handles in the constructor before train() applied the options override,
 // so a 3-phase detector left stale phase-5..9 gauges in the registry.
 TEST(StreamObserverHygiene, PhaseHandlesRegisteredOnlyUnderFinalCount) {
-  AnomalyDetector::Options opts = tiny_options();
-  opts.journal_phases = 3;
   const HeatMapTrace train = synthetic_maps(120, 1);
   const HeatMapTrace valid = synthetic_maps(60, 2);
-  const AnomalyDetector detector = AnomalyDetector::train(train, valid, opts);
-  (void)detector;
+  const AnomalyDetector detector =
+      AnomalyDetector::train(train, valid, tiny_options());
+  engine::SessionOptions options;
+  options.phases = 3;
+  const engine::Session session =
+      engine::DetectionEngine(detector.snapshot()).new_session(options);
+  (void)session;
 
   const std::string text = obs::prometheus_text();
   EXPECT_NE(text.find("mhm_detector_intervals_by_phase_2"), std::string::npos);
@@ -235,7 +237,7 @@ class EngineTest : public ::testing::Test {
     attacks::ShellcodeAttack attack("bitcount");
     attacked_ = new pipeline::ScenarioRun(pipeline::run_scenario(
         pipeline::fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-        pipe_->detector.get(), 42));
+        pipe_->det().snapshot(), 42));
   }
   static void TearDownTestSuite() {
     delete attacked_;
@@ -298,7 +300,7 @@ void expect_golden(const pipeline::ScenarioRun& run,
 TEST_F(EngineTest, GoldenVerdictsNormalRun) {
   const pipeline::ScenarioRun run =
       pipeline::run_scenario(pipeline::fast_test_config(), nullptr, 0,
-                             2 * kSecond, pipe_->detector.get(), 4242);
+                             2 * kSecond, pipe_->det().snapshot(), 4242);
   expect_golden(run, {200, 2, -0x1.4440139b0d984p+12, -0x1.7e9dd29a4e649p+4,
                       -0x1.81cd8eb2a297cp+4, -0x1.689a05903e08dp+4});
 }
@@ -307,7 +309,7 @@ TEST_F(EngineTest, GoldenVerdictsAppAddition) {
   attacks::AppAdditionAttack attack;
   const pipeline::ScenarioRun run = pipeline::run_scenario(
       pipeline::fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-      pipe_->detector.get(), 77);
+      pipe_->det().snapshot(), 77);
   expect_golden(run, {200, 43, -0x1.b07ea298f786p+12, -0x1.7b9ec63f4d2p+4,
                       -0x1.4d019ba40561fp+6, -0x1.167e132922703p+5});
 }

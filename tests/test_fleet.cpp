@@ -442,14 +442,19 @@ TEST_F(FleetTest, ConcurrentScrapesDuringRun) {
   FleetRunner runner = make_runner(spec);
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> scraping{false};
   std::atomic<std::uint64_t> scrapes{0};
   std::thread scraper([&] {
     while (!stop.load(std::memory_order_acquire)) {
+      scraping.store(true, std::memory_order_release);
       const std::string json = runner.json();
       EXPECT_TRUE(roughly_valid_json(json));
       scrapes.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // The run takes milliseconds: start it only once the scraper is in its
+  // first scrape, so a scraper thread scheduled late still scrapes.
+  while (!scraping.load(std::memory_order_acquire)) std::this_thread::yield();
   runner.run_all();
   stop.store(true, std::memory_order_release);
   scraper.join();

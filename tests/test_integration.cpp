@@ -36,7 +36,7 @@ class IntegrationTest : public ::testing::Test {
     return pipeline::run_scenario(pipeline::fast_test_config(), attack,
                                   /*trigger=*/2 * kSecond,
                                   /*duration=*/4 * kSecond,
-                                  pipe_->detector.get(), seed);
+                                  pipe_->det().snapshot(), seed);
   }
 
   static double theta1() { return pipe_->theta_1.log10_value; }
@@ -54,7 +54,7 @@ TEST_F(IntegrationTest, TrainingRetainsAlmostAllVariance) {
 TEST_F(IntegrationTest, NormalOperationStaysNormal) {
   ScenarioRun run = pipeline::run_scenario(
       pipeline::fast_test_config(), nullptr, 0, 4 * kSecond,
-      pipe_->detector.get(), /*seed=*/2024);
+      pipe_->det().snapshot(), /*seed=*/2024);
   const std::vector<double> dens = run.log10_densities();
   std::size_t alarms = 0;
   for (double d : dens) alarms += (d < theta1());
@@ -170,7 +170,7 @@ TEST_F(IntegrationTest, AnalysisTimeIsTinyComparedToInterval) {
   // implementation is faster still; assert the real-time property.
   ScenarioRun run = pipeline::run_scenario(
       pipeline::fast_test_config(), nullptr, 0, 1 * kSecond,
-      pipe_->detector.get(), 37);
+      pipe_->det().snapshot(), 37);
   // Judge the distribution, not each sample: under a parallel test run the
   // host OS can occasionally preempt one analysis for milliseconds.
   std::vector<double> times_ns;

@@ -318,29 +318,27 @@ TEST(ModelHealthMonitorTest, NormalReplayStaysOkAttackReplayDoesNot) {
   const sim::SystemConfig cfg = pipeline::fast_test_config(1);
   pipeline::TrainedPipeline pipe = pipeline::train_pipeline(
       cfg, pipeline::fast_test_plan(), pipeline::fast_test_detector_options());
-  const auto health = pipe.detector->model_health();
-  ASSERT_NE(health, nullptr);
-  health->reset();
-
   const SimTime duration = 2 * kSecond;
   const pipeline::ScenarioRun normal = pipeline::run_scenario(
-      cfg, nullptr, 0, duration, pipe.detector.get(), 4242);
+      cfg, nullptr, 0, duration, pipe.det().snapshot(), 4242);
+  ASSERT_NE(normal.health, nullptr);
   ASSERT_FALSE(normal.verdicts.empty());
   for (const Verdict& v : normal.verdicts) {
     EXPECT_TRUE(std::isfinite(v.spe));
     EXPECT_GE(v.spe, 0.0);
   }
-  ModelHealthSnapshot snap = health->snapshot();
+  ModelHealthSnapshot snap = normal.health->snapshot();
   EXPECT_EQ(snap.status, ModelHealthStatus::kOk)
       << model_health_json(snap);
   EXPECT_EQ(snap.intervals, normal.verdicts.size());
 
-  health->reset();
+  // Each run scores through a session of its own: a fresh monitor.
   auto attack = attacks::make_scenario("app_addition");
   const SimTime trigger = 1 * kSecond;
   const pipeline::ScenarioRun attacked = pipeline::run_scenario(
-      cfg, attack.get(), trigger, duration, pipe.detector.get(), 4242);
-  snap = health->snapshot();
+      cfg, attack.get(), trigger, duration, pipe.det().snapshot(), 4242);
+  ASSERT_NE(attacked.health, nullptr);
+  snap = attacked.health->snapshot();
   EXPECT_NE(snap.status, ModelHealthStatus::kOk) << model_health_json(snap);
   ASSERT_FALSE(snap.events.empty());
   // No false transition before the attack fired.

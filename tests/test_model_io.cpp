@@ -12,9 +12,14 @@
 namespace mhm {
 namespace {
 
-/// Small trained detector shared across tests.
+/// log10 density of one probe under `model`.
+double score(const ModelSnapshot& model, const std::vector<double>& probe) {
+  return log10_scores(model.pca, model.gmm, {probe}).front();
+}
+
+/// Small trained model shared across tests.
 struct Fixture {
-  AnomalyDetector detector;
+  ModelSnapshot model;
 
   static Fixture make() {
     Rng rng(1);
@@ -29,68 +34,67 @@ struct Fixture {
     std::vector<std::vector<double>> valid;
     for (int i = 0; i < 300; ++i) train.push_back(sample(i % 3 * 5.0));
     for (int i = 0; i < 150; ++i) valid.push_back(sample(i % 3 * 5.0));
-    AnomalyDetector::Options opts;
+    TrainOptions opts;
     opts.pca.components = 4;
     opts.gmm.components = 3;
     opts.gmm.restarts = 2;
-    return Fixture{AnomalyDetector::train(train, valid, opts)};
+    return Fixture{train_snapshot(train, valid, opts)};
   }
 };
 
 TEST(ModelIo, RoundTripPreservesScores) {
   const Fixture fx = Fixture::make();
-  const DetectorModel model = DetectorModel::from_detector(fx.detector);
+  const DetectorModel model = DetectorModel::from_snapshot(fx.model);
 
   std::stringstream buffer;
   save_model(model, buffer);
   const DetectorModel loaded = load_model(buffer);
-  const AnomalyDetector restored = loaded.to_detector();
+  const auto restored = loaded.to_snapshot();
 
   Rng rng(2);
   for (int i = 0; i < 50; ++i) {
     std::vector<double> probe(12);
     for (double& v : probe) v = rng.uniform(0.0, 40.0);
-    EXPECT_DOUBLE_EQ(fx.detector.score(probe), restored.score(probe))
+    EXPECT_DOUBLE_EQ(score(fx.model, probe), score(*restored, probe))
         << "probe " << i;
   }
-  EXPECT_DOUBLE_EQ(fx.detector.primary_threshold().log10_value,
-                   restored.primary_threshold().log10_value);
-  EXPECT_DOUBLE_EQ(fx.detector.primary_threshold().p,
-                   restored.primary_threshold().p);
+  EXPECT_DOUBLE_EQ(fx.model.primary.log10_value,
+                   restored->primary.log10_value);
+  EXPECT_DOUBLE_EQ(fx.model.primary.p, restored->primary.p);
 }
 
 TEST(ModelIo, RoundTripPreservesEigenmemory) {
   const Fixture fx = Fixture::make();
   std::stringstream buffer;
-  save_eigenmemory(fx.detector.eigenmemory(), buffer);
+  save_eigenmemory(fx.model.pca, buffer);
   const Eigenmemory em = load_eigenmemory(buffer);
-  EXPECT_EQ(em.input_dim(), fx.detector.eigenmemory().input_dim());
-  EXPECT_EQ(em.components(), fx.detector.eigenmemory().components());
-  EXPECT_EQ(em.mean(), fx.detector.eigenmemory().mean());
-  EXPECT_EQ(em.eigenvalues(), fx.detector.eigenmemory().eigenvalues());
+  EXPECT_EQ(em.input_dim(), fx.model.pca.input_dim());
+  EXPECT_EQ(em.components(), fx.model.pca.components());
+  EXPECT_EQ(em.mean(), fx.model.pca.mean());
+  EXPECT_EQ(em.eigenvalues(), fx.model.pca.eigenvalues());
   EXPECT_DOUBLE_EQ(em.variance_explained(),
-                   fx.detector.eigenmemory().variance_explained());
+                   fx.model.pca.variance_explained());
 }
 
 TEST(ModelIo, RoundTripPreservesGmm) {
   const Fixture fx = Fixture::make();
   std::stringstream buffer;
-  save_gmm(fx.detector.gmm(), buffer);
+  save_gmm(fx.model.gmm, buffer);
   const Gmm gmm = load_gmm(buffer);
-  ASSERT_EQ(gmm.component_count(), fx.detector.gmm().component_count());
+  ASSERT_EQ(gmm.component_count(), fx.model.gmm.component_count());
   const std::vector<double> probe(4, 1.0);
   EXPECT_DOUBLE_EQ(gmm.log_density(probe),
-                   fx.detector.gmm().log_density(probe));
+                   fx.model.gmm.log_density(probe));
 }
 
 TEST(ModelIo, FileRoundTrip) {
   const Fixture fx = Fixture::make();
   const std::string path =
       (std::filesystem::temp_directory_path() / "mhm_model_test.bin").string();
-  save_model_file(DetectorModel::from_detector(fx.detector), path);
-  const AnomalyDetector restored = load_model_file(path).to_detector();
+  save_model_file(DetectorModel::from_snapshot(fx.model), path);
+  const auto restored = load_model_file(path).to_snapshot();
   const std::vector<double> probe(12, 3.0);
-  EXPECT_DOUBLE_EQ(fx.detector.score(probe), restored.score(probe));
+  EXPECT_DOUBLE_EQ(score(fx.model, probe), score(*restored, probe));
   std::filesystem::remove(path);
 }
 
@@ -103,7 +107,7 @@ TEST(ModelIo, RejectsBadMagic) {
 TEST(ModelIo, RejectsUnsupportedVersion) {
   const Fixture fx = Fixture::make();
   std::stringstream buffer;
-  save_model(DetectorModel::from_detector(fx.detector), buffer);
+  save_model(DetectorModel::from_snapshot(fx.model), buffer);
   std::string bytes = buffer.str();
   bytes[4] = 0x7F;  // clobber the version field
   std::stringstream corrupted(bytes);
@@ -114,7 +118,7 @@ TEST(ModelIo, ReadsVersionOneFiles) {
   // A version 1 file is today's bytes without the eigenmemory record's
   // trailing total variance, under version word 1.
   const Fixture fx = Fixture::make();
-  const DetectorModel model = DetectorModel::from_detector(fx.detector);
+  const DetectorModel model = DetectorModel::from_snapshot(fx.model);
   std::stringstream current;
   save_model(model, current);
   std::stringstream record;
@@ -124,11 +128,10 @@ TEST(ModelIo, ReadsVersionOneFiles) {
   bytes.erase(total_at, sizeof(double));
   bytes[4] = 1;
   std::stringstream v1(bytes);
-  const AnomalyDetector restored = load_model(v1).to_detector();
-  EXPECT_EQ(restored.eigenmemory().variance_explained(),
-            fx.detector.eigenmemory().variance_explained());
-  EXPECT_EQ(restored.primary_threshold().log10_value,
-            fx.detector.primary_threshold().log10_value);
+  const auto restored = load_model(v1).to_snapshot();
+  EXPECT_EQ(restored->pca.variance_explained(),
+            fx.model.pca.variance_explained());
+  EXPECT_EQ(restored->primary.log10_value, fx.model.primary.log10_value);
 }
 
 TEST(ModelIo, EigenmemoryRecordKeepsTheTotalVariance) {
@@ -150,7 +153,7 @@ TEST(ModelIo, EigenmemoryRecordKeepsTheTotalVariance) {
 TEST(ModelIo, RejectsTruncatedStream) {
   const Fixture fx = Fixture::make();
   std::stringstream buffer;
-  save_model(DetectorModel::from_detector(fx.detector), buffer);
+  save_model(DetectorModel::from_snapshot(fx.model), buffer);
   const std::string bytes = buffer.str();
   for (std::size_t cut : {std::size_t{3}, std::size_t{9}, bytes.size() / 2,
                           bytes.size() - 1}) {
@@ -164,7 +167,7 @@ TEST(ModelIo, RejectsCorruptGmmWeights) {
   // payload: load_gmm revalidates through from_components and must reject.
   const Fixture fx = Fixture::make();
   std::stringstream buffer;
-  save_gmm(fx.detector.gmm(), buffer);
+  save_gmm(fx.model.gmm, buffer);
   std::string bytes = buffer.str();
   // Layout: tag(4) + dim(8) + count(8) + weight(8)...; overwrite the weight
   // with the bits of 7.0 so weights no longer sum to 1.
@@ -174,10 +177,72 @@ TEST(ModelIo, RejectsCorruptGmmWeights) {
   EXPECT_THROW(load_gmm(corrupted), SerializationError);
 }
 
+/// Little-endian header words for hand-built section payloads.
+void put_u32(std::string& bytes, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+}
+void put_u64(std::string& bytes, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// Loading `bytes` with `load` must fail on the header's claim, as a
+/// truncated stream, not after allocating for it.
+template <typename Load>
+void expect_truncated(const std::string& bytes, Load load) {
+  std::stringstream in(bytes);
+  try {
+    load(in);
+    ADD_FAILURE() << "inflated header loaded";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated stream"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr std::uint64_t kInflated = std::uint64_t{1} << 24;
+
+TEST(ModelIo, InflatedEigenmemoryCountsFailOnTheClaim) {
+  std::string bytes;
+  put_u32(bytes, 0x454D454D);  // "MEME"
+  put_u64(bytes, kInflated);   // dim
+  put_u64(bytes, 1);           // components
+  put_u64(bytes, kInflated);   // mean length, no doubles follow
+  expect_truncated(bytes, [](std::istream& in) { load_eigenmemory(in); });
+}
+
+TEST(ModelIo, InflatedGmmCountsFailOnTheClaim) {
+  std::string components;
+  put_u32(components, 0x004D4D47);  // "GMM\0"
+  put_u64(components, 1);           // dim
+  put_u64(components, kInflated);   // component count
+  expect_truncated(components, [](std::istream& in) { load_gmm(in); });
+
+  std::string dim;
+  put_u32(dim, 0x004D4D47);
+  put_u64(dim, kInflated);  // dim: one covariance is 2^48 doubles
+  put_u64(dim, 1);
+  expect_truncated(dim, [](std::istream& in) { load_gmm(in); });
+}
+
+TEST(ModelIo, InflatedValidationScoreCountFailsOnTheClaim) {
+  const Fixture fx = Fixture::make();
+  std::stringstream buffer;
+  save_model(DetectorModel::from_snapshot(fx.model), buffer);
+  std::string bytes = buffer.str();
+  // The detector section ends with the length-prefixed validation scores.
+  const std::size_t scores = fx.model.calibrator.validation_scores().size();
+  const std::size_t count_at = bytes.size() - 8 * scores - 8;
+  std::string count;
+  put_u64(count, kInflated);
+  bytes.replace(count_at, 8, count);
+  expect_truncated(bytes, [](std::istream& in) { load_model(in); });
+}
+
 TEST(ModelIo, MissingFileThrowsConfigError) {
   EXPECT_THROW(load_model_file("/nonexistent_zzz/model.bin"), ConfigError);
   const Fixture fx = Fixture::make();
-  EXPECT_THROW(save_model_file(DetectorModel::from_detector(fx.detector),
+  EXPECT_THROW(save_model_file(DetectorModel::from_snapshot(fx.model),
                                "/nonexistent_zzz/model.bin"),
                ConfigError);
 }
@@ -240,9 +305,8 @@ TEST(AnomalyDetectorAssemble, ValidatesDimensions) {
   c.covariance = linalg::Matrix::identity(2);
   c.weight = 1.0;
   EXPECT_THROW(
-      AnomalyDetector::assemble(fx.detector.eigenmemory(),
-                                Gmm::from_components({c}),
-                                ThresholdCalibrator({-1.0, -2.0}), 0.01),
+      ModelSnapshot::assemble(fx.model.pca, Gmm::from_components({c}),
+                              ThresholdCalibrator({-1.0, -2.0}), 0.01),
       ConfigError);
 }
 

@@ -166,13 +166,13 @@ TEST(Journal, CapturesInjectedAttackAlarms) {
   auto attack = attacks::make_scenario("shellcode");
   const pipeline::ScenarioRun run = pipeline::run_scenario(
       cfg, attack.get(), 500 * kMillisecond, 1500 * kMillisecond,
-      &pipe.det(), 42);
+      pipe.det().snapshot(), 42);
 
   std::size_t verdict_alarms = 0;
   for (const auto& v : run.verdicts) verdict_alarms += v.anomalous;
   ASSERT_GT(verdict_alarms, 0u) << "shellcode must trip the detector";
 
-  const auto alarms = pipe.det().journal().alarms();
+  const auto alarms = run.journal->alarms();
   EXPECT_EQ(alarms.size(), verdict_alarms);
   for (const auto& rec : alarms) {
     EXPECT_LT(rec.log10_density, rec.threshold);
@@ -188,7 +188,7 @@ TEST(Journal, CapturesInjectedAttackAlarms) {
   // Every alarm is findable by interval index.
   for (const auto& v : run.verdicts) {
     if (!v.anomalous) continue;
-    const auto rec = pipe.det().journal().find(v.interval_index);
+    const auto rec = run.journal->find(v.interval_index);
     ASSERT_TRUE(rec.has_value());
     EXPECT_EQ(rec->log10_density, v.log10_density);  // bit-for-bit
   }

@@ -16,6 +16,9 @@
 #include "common/rng.hpp"
 #include "core/gmm.hpp"
 #include "core/pca.hpp"
+#include "obs/export.hpp"
+#include "obs/model_health.hpp"
+#include "obs/obs.hpp"
 #include "pipeline/experiment.hpp"
 
 namespace mhm {
@@ -236,14 +239,66 @@ TEST(ParallelDeterminism, ScenarioFanOutMatchesSerialRuns) {
       {.attack = "", .trigger_time = 0, .duration = duration, .seed = 502},
       {.attack = "", .trigger_time = 0, .duration = duration, .seed = 503},
   };
-  const auto batch = pipeline::run_scenarios(cfg, specs, pipe.detector.get());
+  const auto batch = pipeline::run_scenarios(cfg, specs, pipe.det().snapshot());
   ASSERT_EQ(batch.size(), specs.size());
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const auto serial = pipeline::run_scenario(
-        cfg, nullptr, 0, duration, pipe.detector.get(), specs[s].seed);
+        cfg, nullptr, 0, duration, pipe.det().snapshot(), specs[s].seed);
     EXPECT_EQ(batch[s].log10_densities(), serial.log10_densities())
         << "scenario " << s;
   }
+}
+
+// Each scenario scores through a session of its own, so its journal and
+// its model-health monitor see its intervals only, in interval order — the
+// same records and the same final health at any thread count.
+TEST(ParallelDeterminism, ScenarioJournalsAndHealthMatchAcrossThreadCounts) {
+  GlobalThreadsGuard guard;
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  const sim::SystemConfig cfg = pipeline::fast_test_config();
+  pipeline::ProfilingPlan plan = pipeline::fast_test_plan();
+  plan.runs = 2;
+  plan.run_duration = 300 * kMillisecond;
+  const auto pipe = pipeline::train_pipeline(
+      cfg, plan, pipeline::fast_test_detector_options());
+
+  const SimTime interval = cfg.monitor.interval;
+  const std::vector<pipeline::ScenarioSpec> specs = {
+      {.attack = "shellcode", .trigger_time = 20 * interval,
+       .duration = 60 * interval, .seed = 601},
+      {.attack = "", .trigger_time = 0, .duration = 60 * interval,
+       .seed = 602},
+      {.attack = "app_addition", .trigger_time = 20 * interval,
+       .duration = 60 * interval, .seed = 603},
+      {.attack = "", .trigger_time = 0, .duration = 60 * interval,
+       .seed = 604},
+  };
+  std::vector<std::vector<pipeline::ScenarioRun>> batches;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    set_global_threads(threads);
+    batches.push_back(
+        pipeline::run_scenarios(cfg, specs, pipe.det().snapshot()));
+  }
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    const pipeline::ScenarioRun& one = batches[0][s];
+    const pipeline::ScenarioRun& four = batches[1][s];
+    ASSERT_NE(one.journal, nullptr);
+    ASSERT_NE(four.journal, nullptr);
+    EXPECT_EQ(one.journal->size(), one.verdicts.size()) << "scenario " << s;
+    EXPECT_EQ(obs::journal_json_lines(*one.journal),
+              obs::journal_json_lines(*four.journal))
+        << "scenario " << s;
+    ASSERT_NE(one.health, nullptr);
+    ASSERT_NE(four.health, nullptr);
+    const obs::ModelHealthSnapshot health = one.health->snapshot();
+    EXPECT_EQ(health.intervals, one.verdicts.size()) << "scenario " << s;
+    EXPECT_EQ(obs::model_health_json(health),
+              obs::model_health_json(four.health->snapshot()))
+        << "scenario " << s;
+  }
+  obs::set_enabled(obs_was_enabled);
 }
 
 }  // namespace

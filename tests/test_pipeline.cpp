@@ -71,7 +71,7 @@ TEST_F(TrainedPipelineTest, TrainingAndValidationAreDisjointRuns) {
 
 TEST_F(TrainedPipelineTest, NormalRunHasLowFalsePositiveRate) {
   ScenarioRun run = run_scenario(fast_test_config(), nullptr, 0,
-                                 2 * kSecond, pipeline_->detector.get(),
+                                 2 * kSecond, pipeline_->det().snapshot(),
                                  /*seed=*/4242);
   EXPECT_EQ(run.scenario, "normal");
   const std::vector<double> dens = run.log10_densities();
@@ -88,7 +88,7 @@ TEST_F(TrainedPipelineTest, ScenarioRunBookkeeping) {
   attacks::AppAdditionAttack attack;
   ScenarioRun run =
       run_scenario(fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-                   pipeline_->detector.get(), /*seed=*/99);
+                   pipeline_->det().snapshot(), /*seed=*/99);
   EXPECT_EQ(run.scenario, "app_addition");
   EXPECT_EQ(run.trigger_interval, 100u);
   EXPECT_EQ(run.maps.size(), 200u);
@@ -102,7 +102,7 @@ TEST_F(TrainedPipelineTest, AttackIsDetectedAfterTrigger) {
   attacks::AppAdditionAttack attack;
   ScenarioRun run =
       run_scenario(fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-                   pipeline_->detector.get(), /*seed=*/77);
+                   pipeline_->det().snapshot(), /*seed=*/77);
   const double theta = pipeline_->theta_1.log10_value;
   const auto latency = run.detection_latency(theta);
   ASSERT_TRUE(latency.has_value());
@@ -130,7 +130,7 @@ TEST_F(TrainedPipelineTest, FalsePositiveHelpersUseTrigger) {
   attacks::AppAdditionAttack attack;
   ScenarioRun run =
       run_scenario(fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-                   pipeline_->detector.get(), /*seed=*/55);
+                   pipeline_->det().snapshot(), /*seed=*/55);
   const double very_low_threshold = -1e9;
   EXPECT_EQ(run.false_positives_before_trigger(very_low_threshold), 0u);
   EXPECT_EQ(run.detections_after_trigger(very_low_threshold), 0u);
@@ -150,7 +150,7 @@ TEST_F(TrainedPipelineTest, SecureCoreMonitorRaisesAlarmsOnAttack) {
   sim::SystemConfig cfg = fast_test_config();
   cfg.seed = 31337;
   sim::System system(cfg);
-  SecureCoreMonitor monitor(system, pipeline_->det());
+  SecureCoreMonitor monitor(system, pipeline_->det().snapshot());
 
   std::vector<SecureCoreMonitor::Alarm> seen;
   monitor.set_alarm_handler(
@@ -174,7 +174,7 @@ TEST_F(TrainedPipelineTest, SecureCoreMonitorRaisesAlarmsOnAttack) {
 TEST_F(TrainedPipelineTest, SecureCoreAnalysisFitsWithinInterval) {
   sim::SystemConfig cfg = fast_test_config();
   sim::System system(cfg);
-  SecureCoreMonitor monitor(system, pipeline_->det());
+  SecureCoreMonitor monitor(system, pipeline_->det().snapshot());
   system.run_for(1 * kSecond);
   // The whole point of §5.4: analysis (~hundreds of µs) << interval (10 ms).
   // Judge the mean plus a small overrun allowance: a parallel test runner

@@ -289,11 +289,11 @@ TEST_F(ProfDeterminismTest, VerdictsAreBitIdenticalWithProfilingToggled) {
   set_prof_enabled(true);
   const pipeline::ScenarioRun on = pipeline::run_scenario(
       pipeline::fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-      pipe_->detector.get(), 42);
+      pipe_->det().snapshot(), 42);
   set_prof_enabled(false);
   const pipeline::ScenarioRun off = pipeline::run_scenario(
       pipeline::fast_test_config(), &attack, 1 * kSecond, 2 * kSecond,
-      pipe_->detector.get(), 42);
+      pipe_->det().snapshot(), 42);
   ASSERT_EQ(on.verdicts.size(), off.verdicts.size());
   ASSERT_FALSE(on.verdicts.empty());
   for (std::size_t i = 0; i < on.verdicts.size(); ++i) {

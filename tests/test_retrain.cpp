@@ -19,7 +19,7 @@
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "core/detector.hpp"
+#include "core/snapshot.hpp"
 #include "core/model_io.hpp"
 #include "engine/engine.hpp"
 #include "engine/normal_window.hpp"
@@ -55,8 +55,8 @@ std::vector<std::vector<double>> normal_rows(std::size_t n,
   return rows;
 }
 
-AnomalyDetector::Options tiny_options() {
-  AnomalyDetector::Options opts;
+TrainOptions tiny_options() {
+  TrainOptions opts;
   opts.pca.components = 4;
   opts.gmm.components = 2;
   opts.gmm.restarts = 2;
@@ -67,9 +67,8 @@ AnomalyDetector::Options tiny_options() {
 engine::DetectionEngine tiny_engine() {
   const auto train = normal_rows(160, 101);
   const auto valid = normal_rows(80, 102);
-  const AnomalyDetector det =
-      AnomalyDetector::train(train, valid, tiny_options());
-  return engine::DetectionEngine(det.snapshot());
+  return engine::DetectionEngine(std::make_shared<const ModelSnapshot>(
+      train_snapshot(train, valid, tiny_options())));
 }
 
 RetrainManager::Options inline_options() {

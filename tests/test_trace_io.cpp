@@ -178,8 +178,11 @@ TEST(TraceIo, LoadedTraceTrainsIdenticalDetector) {
   const HeatMapTrace valid2(loaded.maps.begin() + 60, loaded.maps.end());
   const auto det_a = AnomalyDetector::train(original.maps, valid, opts);
   const auto det_b = AnomalyDetector::train(loaded.maps, valid2, opts);
-  EXPECT_DOUBLE_EQ(det_a.score(original.maps[0].as_vector()),
-                   det_b.score(loaded.maps[0].as_vector()));
+  const auto score = [](const AnomalyDetector& det, const HeatMap& map) {
+    return log10_scores(det.eigenmemory(), det.gmm(), {map.as_vector()})[0];
+  };
+  EXPECT_DOUBLE_EQ(score(det_a, original.maps[0]),
+                   score(det_b, loaded.maps[0]));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -98,13 +99,29 @@ TEST(TrainSnapshot, ByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
+/// Rows as heat maps: an affine map onto positive integer counts keeps the
+/// rank-9 structure.
+HeatMapTrace as_maps(const Rows& rows) {
+  HeatMapTrace maps;
+  for (const auto& row : rows) {
+    HeatMap map(row.size());
+    for (std::size_t c = 0; c < row.size(); ++c) {
+      map.increment(c, static_cast<std::uint64_t>(
+                           std::llround(1000.0 + 10.0 * row[c])));
+    }
+    maps.push_back(std::move(map));
+  }
+  return maps;
+}
+
 TEST(TrainSnapshot, DetectorWrapperTrainsTheSameModel) {
   const Data& d = paper_shaped();
-  AnomalyDetector::Options detector_opts;
-  static_cast<TrainOptions&>(detector_opts) = options();
+  const HeatMapTrace train = as_maps(d.train);
+  const HeatMapTrace calib = as_maps(d.calib);
   const AnomalyDetector detector =
-      AnomalyDetector::train(d.train, d.calib, detector_opts);
-  const ModelSnapshot snap = train_snapshot(d.train, d.calib, options());
+      AnomalyDetector::train(train, calib, options());
+  const ModelSnapshot snap =
+      train_snapshot(as_rows(train), as_rows(calib), options());
   EXPECT_EQ(model_bytes(*detector.snapshot()), model_bytes(snap));
   ASSERT_NE(detector.snapshot()->baseline, nullptr);
   EXPECT_EQ(detector.snapshot()->baseline->mean, snap.baseline->mean);

@@ -6,6 +6,7 @@
 
 #include "common/stats.hpp"
 #include "core/detector.hpp"
+#include "engine/engine.hpp"
 #include "sim/system.hpp"
 #include "sim/task.hpp"
 
@@ -149,14 +150,17 @@ TEST(AvionicsWorkload, DetectorWorksOnAlternativeTaskSet) {
   opts.pca.components = 8;
   opts.gmm.components = 4;
   opts.gmm.restarts = 3;
-  const auto detector = AnomalyDetector::train(training, validation, opts);
+  engine::Session session =
+      engine::DetectionEngine(
+          AnomalyDetector::train(training, validation, opts).snapshot())
+          .new_session();
 
   SystemConfig attacked_cfg = cfg;
   attacked_cfg.seed = 999;
   System attacked(attacked_cfg);
   std::vector<Verdict> verdicts;
   attacked.set_interval_observer([&](const HeatMap& m) {
-    verdicts.push_back(detector.analyze(m));
+    verdicts.push_back(session.analyze(m));
   });
   attacked.at(1 * kSecond, [&] { attacked.launch_task(qsort_task_spec()); });
   attacked.run_for(2 * kSecond);

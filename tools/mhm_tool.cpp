@@ -82,13 +82,14 @@
 //       Train a fast-scale detector, arm the flight recorder and the
 //       incident store (bundles land in --flight-dir), start the HTTP
 //       monitoring endpoint on 127.0.0.1:P (0 = ephemeral, printed at
-//       startup) and replay N attack scenarios against it so /metrics,
-//       /status, /journal, /trace, /history and /incidents serve live
-//       data. --registry saves the trained model there first and stamps
+//       startup) and replay N attack scenarios against it, scored as one
+//       continuous stream by one live session, so /metrics, /status,
+//       /journal, /trace, /history and /incidents serve live data.
+//       --registry saves the trained model there first and stamps
 //       its version on every verdict and bundle (the handle `incidents
 //       replay` needs); --incident-gap shrinks the per-stream rate limit;
 //       --linger-ms keeps the endpoint up after the replays.
-//       --auto-retrain 1 scores through an engine session with a
+//       --auto-retrain 1 gives that session a clean-interval window and a
 //       drift-triggered retrain → validate → hot-swap loop (state under
 //       /model's "retrain" key; publishes annotate the journal and leave
 //       a retrain_publish incident marker). --mode-change-after S makes
@@ -250,7 +251,7 @@ int cmd_train(const Args& args) {
                  "train: --out <file> or --registry <dir> is required\n");
     return 1;
   }
-  AnomalyDetector::Options opts;
+  TrainOptions opts;
   opts.pca.components = args.get_u64("components", 9);
   opts.gmm.components = args.get_u64("gmm", 5);
   opts.gmm.restarts = args.get_u64("restarts", 10);
@@ -394,14 +395,14 @@ int cmd_monitor(const Args& args) {
   const DetectorModel model = std::filesystem::is_directory(model_path)
                                   ? ModelRegistry(model_path).load_latest()
                                   : load_model_file(model_path);
-  const AnomalyDetector detector = model.to_detector();
+  const std::shared_ptr<const ModelSnapshot> snapshot = model.to_snapshot();
 
   sim::SystemConfig cfg = config_from(args);
-  if (cfg.monitor.cell_count() != detector.eigenmemory().input_dim()) {
+  if (cfg.monitor.cell_count() != snapshot->pca.input_dim()) {
     std::fprintf(stderr,
                  "monitor: model expects %zu cells but the configured system "
                  "produces %zu — match --granularity to the training run\n",
-                 detector.eigenmemory().input_dim(), cfg.monitor.cell_count());
+                 snapshot->pca.input_dim(), cfg.monitor.cell_count());
     return 1;
   }
 
@@ -413,13 +414,13 @@ int cmd_monitor(const Args& args) {
   }
 
   pipeline::ScenarioRun run = pipeline::run_scenario(
-      cfg, attack.get(), trigger, duration, &detector,
+      cfg, attack.get(), trigger, duration, snapshot,
       args.get_u64("seed", 42));
 
   LinePlotOptions plot;
   plot.title = attack ? "log10 Pr(M) — attack '" + run.scenario + "' at the bar"
                       : "log10 Pr(M) — normal run";
-  plot.hlines = {detector.primary_threshold().log10_value};
+  plot.hlines = {snapshot->primary.log10_value};
   if (attack) plot.vlines = {static_cast<double>(run.trigger_interval)};
   std::fputs(render_line_plot(run.log10_densities(), plot).c_str(), stdout);
 
@@ -427,10 +428,10 @@ int cmd_monitor(const Args& args) {
   for (const auto& v : run.verdicts) alarms += v.anomalous;
   std::printf("%zu intervals analyzed, %zu flagged anomalous "
               "(threshold theta at p = %.3f)\n",
-              run.verdicts.size(), alarms, detector.primary_threshold().p);
+              run.verdicts.size(), alarms, snapshot->primary.p);
   if (attack) {
     const auto latency =
-        run.detection_latency(detector.primary_threshold().log10_value);
+        run.detection_latency(snapshot->primary.log10_value);
     std::printf("attack '%s' at interval %llu: %s\n", run.scenario.c_str(),
                 static_cast<unsigned long long>(run.trigger_interval),
                 latency ? ("detected +" + std::to_string(*latency) +
@@ -696,9 +697,12 @@ int cmd_journal(const Args& args) {
 
   pipeline::ScenarioRun run =
       pipeline::run_scenario(cfg, attack.get(), trigger, duration,
-                             &pipe.det(), args.get_u64("seed", 42));
+                             pipe.det().snapshot(), args.get_u64("seed", 42));
+  // MHM_OBS_PORT: the endpoint train_pipeline started now also answers
+  // /journal and /model for this run's session.
+  obs::MonitorServer::ensure_env_server(run.journal, run.health);
 
-  const obs::DecisionJournal& journal = pipe.det().journal();
+  const obs::DecisionJournal& journal = *run.journal;
   if (args.get("format", "text") == "jsonl") {
     return emit_text(args, obs::journal_json_lines(journal));
   }
@@ -747,45 +751,39 @@ int cmd_serve(const Args& args) {
   pipeline::TrainedPipeline pipe = pipeline::train_pipeline(
       cfg, pipeline::fast_test_plan(), pipeline::fast_test_detector_options());
 
-  // --registry DIR versions the freshly trained model and re-hangs the same
-  // observation stack on a snapshot carrying that version stamp — every
-  // verdict (and incident bundle) then names a registry version that
-  // `incidents replay` can reload for bit-identical re-scoring.
-  std::optional<AnomalyDetector> versioned;
-  AnomalyDetector* det = pipe.detector.get();
+  // --registry DIR versions the freshly trained model and serves a snapshot
+  // carrying that version stamp — every verdict (and incident bundle) then
+  // names a registry version that `incidents replay` can reload for
+  // bit-identical re-scoring.
+  std::shared_ptr<const ModelSnapshot> model = pipe.det().snapshot();
   std::shared_ptr<ModelRegistry> registry;
   if (const auto registry_dir = args.get_optional("registry")) {
     registry = std::make_shared<ModelRegistry>(*registry_dir);
     const std::uint64_t version =
-        registry->save(DetectorModel::from_detector(pipe.det()));
-    const std::shared_ptr<const ModelSnapshot> base = pipe.det().snapshot();
-    versioned.emplace(AnomalyDetector::from_snapshot(
-        ModelSnapshot::assemble(base->pca, base->gmm, base->calibrator,
-                                base->primary.p, base->baseline, version)));
-    det = &*versioned;
+        registry->save(DetectorModel::from_snapshot(*model));
+    model = ModelSnapshot::assemble(model->pca, model->gmm, model->calibrator,
+                                    model->primary.p, model->baseline,
+                                    version);
     std::printf("model registered as version %llu in %s\n",
                 static_cast<unsigned long long>(version),
                 registry->directory().c_str());
     std::fflush(stdout);
   }
 
-  // --auto-retrain 1 runs the replays through an engine session with a
-  // clean-interval reservoir and a background RetrainManager: sustained
-  // drift trains a candidate on the window, validates it, registers it
-  // (when --registry is set) and hot-swaps it into the live session. The
-  // plain path keeps scoring through the detector façade.
+  // One live session scores every replay as one continuous stream.
+  // --auto-retrain 1 gives it a clean-interval reservoir and a background
+  // RetrainManager: sustained drift trains a candidate on the window,
+  // validates it, registers it (when --registry is set) and hot-swaps it
+  // into the live session.
   const bool auto_retrain = args.get_u64("auto-retrain", 0) != 0;
-  std::optional<engine::DetectionEngine> engine;
-  std::optional<engine::Session> session;
+  engine::DetectionEngine engine(model);
+  engine::SessionOptions so;
   if (auto_retrain) {
-    engine.emplace(det->snapshot());
-    engine::SessionOptions so;
     so.clean_window_capacity = args.get_u64("retrain-window", 512);
-    session.emplace(engine->new_session(so));
   }
+  engine::Session session = engine.new_session(so);
 
-  const auto live_journal =
-      session ? session->journal_ptr() : det->journal_ptr();
+  const auto live_journal = session.journal_ptr();
   obs::FlightRecorder::Options fr_opts;
   fr_opts.dir = args.get("flight-dir", ".");
   if (!obs::FlightRecorder::instance().arm(fr_opts, live_journal)) {
@@ -800,11 +798,7 @@ int cmd_serve(const Args& args) {
   auto incidents = std::make_shared<obs::IncidentStore>(inc_opts);
   obs::IncidentOptions inc_trigger;
   inc_trigger.min_gap = args.get_u64("incident-gap", inc_trigger.min_gap);
-  if (session) {
-    session->attach_incidents(inc_trigger, incidents);
-  } else {
-    det->attach_incidents(inc_trigger, incidents);
-  }
+  session.attach_incidents(inc_trigger, incidents);
 
   obs::MonitorServer server;
   obs::MonitorServer::Options srv_opts;
@@ -816,13 +810,10 @@ int cmd_serve(const Args& args) {
     return 1;
   }
   server.set_journal(live_journal);
-  server.set_model_health(session ? session->model_health()
-                                  : det->model_health());
-  server.set_history(session ? session->score_history()
-                             : det->score_history());
+  server.set_model_health(session.model_health());
+  server.set_history(session.score_history());
   server.set_incidents(incidents);
-  obs::FlightRecorder::instance().set_model_health(
-      session ? session->model_health() : det->model_health());
+  obs::FlightRecorder::instance().set_model_health(session.model_health());
   obs::FlightRecorder::instance().set_incidents(
       [incidents] { return incidents->dump_section(); });
 
@@ -837,8 +828,8 @@ int cmd_serve(const Args& args) {
     ro.min_window = args.get_u64("retrain-min-window", 96);
     ro.gmm_restarts = 2;
     manager = std::make_shared<engine::RetrainManager>(
-        *engine, session->clean_window(), registry, ro);
-    engine::Session* sess = &*session;
+        engine, session.clean_window(), registry, ro);
+    engine::Session* sess = &session;
     sess->set_status_hook(
         [manager_raw = manager.get()](std::uint64_t interval,
                                       obs::ModelHealthStatus status) {
@@ -907,58 +898,44 @@ int cmd_serve(const Args& args) {
       run_cfg.device_irq_mean_period = 2 * kMillisecond;
       run_cfg.jitter_scale = 1.25;
     }
-    if (session) {
-      // Engine path: generate the maps detector-free and score them through
-      // the live session, so the retrain loop sees one continuous stream.
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          run_cfg, attack.get(), trigger, duration, nullptr, seed + s);
-      std::size_t run_alarms = 0;
-      for (const auto& m : run.maps) {
-        const Verdict v = session->analyze(m.as_vector(), next_interval++);
-        run_alarms += v.anomalous;
-      }
-      alarms += run_alarms;
-      // A publish rebinds the session's health monitor at the swap
-      // boundary; re-attach the live handle for /model and the recorder.
-      server.set_model_health(session->model_health());
-      obs::FlightRecorder::instance().set_model_health(
-          session->model_health());
-      std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so "
-                  "far; retrain %s, model v%llu\n",
-                  static_cast<unsigned long long>(s + 1),
-                  static_cast<unsigned long long>(scenarios),
-                  run.scenario.c_str(), run.maps.size(), alarms,
-                  engine::to_string(manager->state()),
-                  static_cast<unsigned long long>(session->model_version()));
-    } else {
-      pipeline::ScenarioRun run = pipeline::run_scenario(
-          run_cfg, attack.get(), trigger, duration, det, seed + s);
-      for (const auto& v : run.verdicts) alarms += v.anomalous;
-      std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so "
-                  "far\n",
-                  static_cast<unsigned long long>(s + 1),
-                  static_cast<unsigned long long>(scenarios),
-                  run.scenario.c_str(), run.verdicts.size(), alarms);
+    // Collect the replay model-free and score its maps through the live
+    // session, numbering intervals across replays.
+    const pipeline::ScenarioRun run = pipeline::run_scenario(
+        run_cfg, attack.get(), trigger, duration, nullptr, seed + s);
+    for (const auto& m : run.maps) {
+      alarms += session.analyze(m.as_vector(), next_interval++).anomalous;
     }
+    // A publish rebinds the session's health monitor at the swap boundary;
+    // re-attach the live handle for /model and the recorder.
+    server.set_model_health(session.model_health());
+    obs::FlightRecorder::instance().set_model_health(session.model_health());
+    std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so far",
+                static_cast<unsigned long long>(s + 1),
+                static_cast<unsigned long long>(scenarios),
+                run.scenario.c_str(), run.maps.size(), alarms);
+    if (manager != nullptr) {
+      std::printf("; retrain %s, model v%llu",
+                  engine::to_string(manager->state()),
+                  static_cast<unsigned long long>(session.model_version()));
+    }
+    std::printf("\n");
     std::fflush(stdout);
   }
   if (manager != nullptr) {
     manager->drain();
-    server.set_model_health(session->model_health());
-    obs::FlightRecorder::instance().set_model_health(
-        session->model_health());
+    server.set_model_health(session.model_health());
+    obs::FlightRecorder::instance().set_model_health(session.model_health());
     std::printf("retrain loop: %llu published, %llu rejected, state %s, "
                 "serving model version %llu\n",
                 static_cast<unsigned long long>(manager->published()),
                 static_cast<unsigned long long>(manager->rejected_count()),
                 engine::to_string(manager->state()),
-                static_cast<unsigned long long>(engine->model_version()));
+                static_cast<unsigned long long>(engine.model_version()));
     std::fflush(stdout);
   }
   std::printf("incidents: %llu committed\n",
               static_cast<unsigned long long>(incidents->total_committed()));
-  if (const auto health = session ? session->model_health()
-                                  : det->model_health()) {
+  if (const auto health = session.model_health()) {
     const obs::ModelHealthSnapshot snap = health->snapshot();
     std::printf("model health: %s (alarm rate %.4f, expected p %.4f)\n",
                 obs::to_string(snap.status), snap.alarm_rate, snap.expected_p);
