@@ -474,23 +474,21 @@ typedef double V4df __attribute__((vector_size(32)));
 // Unaligned view type: tile rows are only guaranteed 8-byte aligned.
 typedef double V4dfU __attribute__((vector_size(32), aligned(8)));
 
-// always_inline: these must fold into their (target-attributed) callers —
-// a standalone out-of-line copy would also re-trip -Wpsabi past the
-// diagnostic region below.
-__attribute__((always_inline)) inline V4df v4load(const double* p) {
-  return *reinterpret_cast<const V4dfU*>(p);
-}
-__attribute__((always_inline)) inline void v4store(double* p, V4df v) {
+// Loads are written inline through the unaligned view types and the store
+// helpers take their vector by reference: a plain function returning or
+// taking a vector by value trips -Wpsabi, reported at the end of the
+// translation unit past the diagnostic region below. always_inline: the
+// stores must fold into their (target-attributed) callers.
+__attribute__((always_inline)) inline void v4store(double* p,
+                                                   const V4df& v) {
   *reinterpret_cast<V4dfU*>(p) = v;
 }
 
 typedef double V8df __attribute__((vector_size(64)));
 typedef double V8dfU __attribute__((vector_size(64), aligned(8)));
 
-__attribute__((always_inline)) inline V8df v8load(const double* p) {
-  return *reinterpret_cast<const V8dfU*>(p);
-}
-__attribute__((always_inline)) inline void v8store(double* p, V8df v) {
+__attribute__((always_inline)) inline void v8store(double* p,
+                                                   const V8df& v) {
   *reinterpret_cast<V8dfU*>(p) = v;
 }
 
@@ -500,11 +498,11 @@ __attribute__((target("avx2"))) void tile_pass2_avx2(
   V4df a00{}, a01{}, a02{}, a03{};
   V4df a10{}, a11{}, a12{}, a13{};
   for (std::size_t i = 0; i < l; ++i) {
-    const double* ph = tile + i * kProjTile;
-    const V4df p0 = v4load(ph);
-    const V4df p1 = v4load(ph + 4);
-    const V4df p2 = v4load(ph + 8);
-    const V4df p3 = v4load(ph + 12);
+    const V4dfU* ph = reinterpret_cast<const V4dfU*>(tile + i * kProjTile);
+    const V4df p0 = ph[0];
+    const V4df p1 = ph[1];
+    const V4df p2 = ph[2];
+    const V4df p3 = ph[3];
     const V4df c0 = {brow0[i], brow0[i], brow0[i], brow0[i]};
     const V4df c1 = {brow1[i], brow1[i], brow1[i], brow1[i]};
     a00 += c0 * p0;
@@ -532,12 +530,12 @@ __attribute__((target("avx2"))) void tile_pass1_avx2(const double* brow0,
                                                      double* w0) {
   V4df a00{}, a01{}, a02{}, a03{};
   for (std::size_t i = 0; i < l; ++i) {
-    const double* ph = tile + i * kProjTile;
+    const V4dfU* ph = reinterpret_cast<const V4dfU*>(tile + i * kProjTile);
     const V4df c0 = {brow0[i], brow0[i], brow0[i], brow0[i]};
-    a00 += c0 * v4load(ph);
-    a01 += c0 * v4load(ph + 4);
-    a02 += c0 * v4load(ph + 8);
-    a03 += c0 * v4load(ph + 12);
+    a00 += c0 * ph[0];
+    a01 += c0 * ph[1];
+    a02 += c0 * ph[2];
+    a03 += c0 * ph[3];
   }
   v4store(w0, a00);
   v4store(w0 + 4, a01);
@@ -561,9 +559,9 @@ __attribute__((target("avx512f"))) void tile_passR_avx512(
   V8df a0[R] = {};
   V8df a1[R] = {};
   for (std::size_t i = 0; i < l; ++i) {
-    const double* ph = tile + i * kProjTile;
-    const V8df p0 = v8load(ph);
-    const V8df p1 = v8load(ph + 8);
+    const V8dfU* ph = reinterpret_cast<const V8dfU*>(tile + i * kProjTile);
+    const V8df p0 = ph[0];
+    const V8df p1 = ph[1];
     for (int r = 0; r < R; ++r) {
       const double br = b[r][i];
       const V8df c = {br, br, br, br, br, br, br, br};
@@ -588,10 +586,10 @@ __attribute__((target("avx512f"))) void tile_passR_avx512(
 /// registers at once.
 __attribute__((target("avx2"), always_inline)) inline void fill_block4(
     const double* const* rp, V4df m, std::size_t i, double* out, V4df& sqv) {
-  const V4df r0 = v4load(rp[0] + i) - m;
-  const V4df r1 = v4load(rp[1] + i) - m;
-  const V4df r2 = v4load(rp[2] + i) - m;
-  const V4df r3 = v4load(rp[3] + i) - m;
+  const V4df r0 = *reinterpret_cast<const V4dfU*>(rp[0] + i) - m;
+  const V4df r1 = *reinterpret_cast<const V4dfU*>(rp[1] + i) - m;
+  const V4df r2 = *reinterpret_cast<const V4dfU*>(rp[2] + i) - m;
+  const V4df r3 = *reinterpret_cast<const V4dfU*>(rp[3] + i) - m;
   const V4df t0 = __builtin_shufflevector(r0, r1, 0, 4, 2, 6);
   const V4df t1 = __builtin_shufflevector(r0, r1, 1, 5, 3, 7);
   const V4df t2 = __builtin_shufflevector(r2, r3, 0, 4, 2, 6);
@@ -619,7 +617,7 @@ __attribute__((target("avx2"))) void fill_tile_avx2(
   // and hide each other's add latency.
   V4df sq0{}, sq1{}, sq2{}, sq3{};
   for (std::size_t i = 0; i < l4; i += 4) {
-    const V4df m = v4load(mean + i);
+    const V4df m = *reinterpret_cast<const V4dfU*>(mean + i);
     double* out = tile + i * kProjTile;
     fill_block4(rowp, m, i, out, sq0);
     fill_block4(rowp + 4, m, i, out + 4, sq1);

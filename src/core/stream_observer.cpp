@@ -4,7 +4,6 @@
 #include <cmath>
 #include <string>
 
-#include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_health.hpp"
@@ -238,10 +237,9 @@ obs::ModelHealthStatus StreamObserver::record(const ModelSnapshot& snapshot,
     }
   }
   journal_->append_swap(rec);
-  // Crash-safe black box: remember the raw row and, on alarm, leave a
-  // rate-limited .mhmdump on disk. One relaxed load while unarmed.
-  obs::FlightRecorder::instance().note_interval(raw, verdict.interval_index,
-                                                verdict.anomalous);
+  // The armed incident store's crash snapshot carries the newest row; it
+  // asks for one per refresh. One relaxed load otherwise.
+  obs::note_state_row(raw, verdict.interval_index);
   return status;
 }
 

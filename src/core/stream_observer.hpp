@@ -76,7 +76,7 @@ class StreamObserver {
   StreamObserver(const ModelSnapshot& snapshot, const Options& options);
 
   /// Record one scored interval: process + per-phase metrics, model-health
-  /// observation, journal append, flight-recorder note. `raw` and `reduced`
+  /// observation, journal append, crash-snapshot row. `raw` and `reduced`
   /// are views of the map and its projection from the scoring call (a batch
   /// scatter passes SoA column gathers; nothing is re-scored) — they are
   /// copied where retained, never stored as views. No-op while observability

@@ -157,7 +157,7 @@ class FleetAggregator {
   FleetSnapshot snapshot() const;
 
   /// snapshot() rendered as JSON — bind to MonitorServer::set_fleet and
-  /// FlightRecorder::set_fleet.
+  /// IncidentStore::set_fleet.
   std::string json() const { return fleet_json(snapshot()); }
 
  private:

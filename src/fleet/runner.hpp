@@ -63,7 +63,7 @@ class FleetRunner {
   std::size_t rounds_completed() const { return round_; }
 
   /// The /fleet JSON body — bind to MonitorServer::set_fleet /
-  /// FlightRecorder::set_fleet (safe to call concurrently with run_rounds).
+  /// IncidentStore::set_fleet (safe to call concurrently with run_rounds).
   std::string json() const { return aggregator_->json(); }
 
   /// Bench hook: false pumps and scores without touching the aggregator,

@@ -1,19 +1,31 @@
 #include "obs/incident.hpp"
 
 #include <fcntl.h>
+#include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
+#include <exception>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "obs/build_info.hpp"
+#include "obs/chrome_trace.hpp"
+#include "obs/export.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
+#include "obs/model_health.hpp"
 #include "obs/prof.hpp"
 
 namespace mhm::obs {
@@ -58,12 +70,115 @@ Gauge& last_trigger_gauge() {
                                     "interval of the newest incident");
 }
 
+/// Async-signal-safe: write [p, p + n) front to back, retrying EINTR. The
+/// one write loop every bundle goes through — commits, process-state
+/// bundles and the crash handler.
+bool write_all(int fd, const char* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t w = ::write(fd, p, n);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    p += w;
+    n -= static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+bool write_file(const std::string& path, const char* data, std::size_t n) {
+  const int fd =
+      ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  const bool ok = write_all(fd, data, n);
+  return ::close(fd) == 0 && ok;
+}
+
+/// `<dir>/mhm-<YYYYmmdd-HHMMSS>-<tag>-<pid>.mhmi`: sorts after the
+/// `incident-*` bundles, so a directory listing shows triggered ones first.
+std::string state_path(const std::string& dir, const std::string& tag) {
+  const std::time_t t = std::time(nullptr);
+  std::tm tm{};
+  localtime_r(&t, &tm);
+  char stamp[32];
+  std::strftime(stamp, sizeof stamp, "%Y%m%d-%H%M%S", &tm);
+  return dir + "/mhm-" + stamp + "-" + tag + "-" +
+         std::to_string(::getpid()) + ".mhmi";
+}
+
+constexpr std::size_t kJournalTail = 64;  ///< Decision records per bundle.
+constexpr auto kRefreshGap = std::chrono::milliseconds(250);
+
+// Process-wide crash state: the signal handler needs one target, and may
+// not lock, allocate or format — it reads only these atomics and buffers.
+std::mutex g_arm_mu;  ///< Guards g_armed_store; taken before a store's mu_.
+IncidentStore* g_armed_store = nullptr;
+std::atomic<int> g_crash_fd{-1};
+std::vector<char> g_snapshot[2];
+std::atomic<std::size_t> g_snapshot_len[2] = {0, 0};
+std::atomic<int> g_published{-1};
+
+// Newest heat-map row handed over by the scoring path (leaf lock).
+std::mutex g_row_mu;
+std::vector<double> g_row;
+std::uint64_t g_row_interval = 0;
+
+/// Write the published prerendered snapshot to the crash file opened at
+/// arm time, fsync, then re-raise with the default disposition so the
+/// process still dies with the original signal.
+void crash_handler(int sig) {
+  static std::atomic<bool> entered{false};
+  if (!entered.exchange(true, std::memory_order_relaxed)) {
+    const int fd = g_crash_fd.load(std::memory_order_relaxed);
+    const int idx = g_published.load(std::memory_order_acquire);
+    if (fd >= 0 && idx >= 0) {
+      write_all(fd, g_snapshot[idx].data(),
+                g_snapshot_len[idx].load(std::memory_order_acquire));
+      ::fsync(fd);
+    }
+  }
+  ::signal(sig, SIG_DFL);
+  ::raise(sig);
+}
+
 }  // namespace
+
+namespace detail {
+
+std::atomic<bool> state_row_wanted{false};
+
+void offer_state_row(std::span<const double> raw, std::uint64_t interval) {
+  if (!state_row_wanted.exchange(false, std::memory_order_relaxed)) return;
+  std::lock_guard<std::mutex> lock(g_row_mu);
+  g_row.assign(raw.begin(), raw.end());
+  g_row_interval = interval;
+}
+
+}  // namespace detail
+
+/// What arming adds to a store: the process-state sources, the crash file
+/// and the refresh thread.
+struct IncidentStore::Armed {
+  std::shared_ptr<const DecisionJournal> journal;
+  std::shared_ptr<const ModelHealthMonitor> model_health;
+  std::function<std::string()> fleet;
+  std::string crash_path;
+  std::uint64_t writes = 0;  ///< Process-state bundles written so far.
+  std::vector<double> row;   ///< Copy of g_row for the render in progress.
+  std::uint64_t row_interval = 0;
+  bool handlers = false;
+  struct sigaction old_segv {};
+  struct sigaction old_abrt {};
+  std::mutex stop_mu;
+  std::condition_variable stop_cv;
+  bool stop = false;
+  std::thread refresher;
+};
 
 IncidentStore::IncidentStore(const Options& options) : options_(options) {
   options_.max_incidents = std::max<std::size_t>(1, options_.max_incidents);
   buffer_.reserve(options_.buffer_bytes);
 }
+
+IncidentStore::~IncidentStore() { disarm(); }
 
 std::string IncidentStore::commit(Incident incident) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -75,16 +190,7 @@ std::string IncidentStore::debug_commit_partial(Incident incident) {
   return commit_locked(incident, /*partial=*/true);
 }
 
-std::string IncidentStore::commit_locked(Incident& incident, bool partial) {
-  incident.id = next_id_++;
-  char name[64];
-  std::snprintf(name, sizeof name, "/incident-%06llu.mhmi",
-                static_cast<unsigned long long>(incident.id));
-  incident.path = options_.dir + name;
-
-  // Prerender the whole bundle, `== end ==` last — the flight recorder's
-  // discipline. The on-disk state is then always one of: absent, truncated
-  // (missing end marker), or complete.
+void IncidentStore::render_locked(const Incident& incident) {
   buffer_.clear();
   append_fmt(buffer_, "MHMI 1\n");
   append_fmt(buffer_, "id %llu\n",
@@ -103,9 +209,7 @@ std::string IncidentStore::commit_locked(Incident& incident, bool partial) {
   append_fmt(buffer_, "entries %zu\n", incident.window.size());
   buffer_ += build_info_text("build.");
   buffer_ += "== verdicts ==\n";
-  std::size_t alarms = 0;
   for (const IncidentEntry& e : incident.window) {
-    if (e.alarm) ++alarms;
     append_fmt(buffer_, "%llu %a %a %d %zu %llu\n",
                static_cast<unsigned long long>(e.interval), e.score, e.spe,
                e.alarm ? 1 : 0, e.nearest_pattern,
@@ -126,24 +230,71 @@ std::string IncidentStore::commit_locked(Incident& incident, bool partial) {
     for (const double v : e.row) append_fmt(buffer_, " %a", v);
     buffer_ += '\n';
   }
-  // Profiler state at commit time: which stage the process was spending its
-  // cycles in when the incident fired, from the same accumulators /profile
-  // serves. Informational — the parser skips it.
+  // Profiler state at render time: which stage the process was spending
+  // its cycles in, from the same accumulators /profile serves.
   buffer_ += "== profile ==\n";
   buffer_ += prof::dump_section();
-  buffer_ += "== end ==\n";
+}
 
-  const std::size_t write_len = partial ? buffer_.size() / 2 : buffer_.size();
-  const int fd = ::open(incident.path.c_str(),
-                        O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) return "";
-  std::size_t off = 0;
-  while (off < write_len) {
-    const ssize_t n = ::write(fd, buffer_.data() + off, write_len - off);
-    if (n <= 0) break;
-    off += static_cast<std::size_t>(n);
+void IncidentStore::render_state_locked(const std::string& reason) {
+  Armed& a = *armed_;
+  {
+    std::lock_guard<std::mutex> row_lock(g_row_mu);
+    a.row.assign(g_row.begin(), g_row.end());
+    a.row_interval = g_row_interval;
   }
-  ::close(fd);
+  Incident state;  // id 0: process-state bundles take no incident id.
+  state.reason = reason;
+  state.trigger_interval = a.row_interval;
+  state.cells = a.row.size();
+  render_locked(state);
+  buffer_ += "== metrics ==\n";
+  buffer_ += prometheus_text();
+  std::vector<DecisionRecord> records;
+  if (a.journal != nullptr) records = a.journal->snapshot();
+  const std::size_t tail = std::min(kJournalTail, records.size());
+  append_fmt(buffer_, "== journal tail=%zu ==\n", tail);
+  for (std::size_t i = records.size() - tail; i < records.size(); ++i) {
+    buffer_ += decision_json(records[i]);
+    buffer_ += '\n';
+  }
+  buffer_ += "== trace ==\n";
+  buffer_ += chrome_trace_json();
+  if (a.model_health != nullptr) {
+    buffer_ += "== model_health ==\n";
+    buffer_ += model_health_json(a.model_health->snapshot());
+    buffer_ += '\n';
+  }
+  if (a.fleet) {
+    buffer_ += "== fleet ==\n";
+    buffer_ += a.fleet();
+    buffer_ += '\n';
+  }
+  buffer_ += "== incidents ==\n";
+  append_incidents_locked(buffer_);
+  if (!a.row.empty()) {
+    append_fmt(buffer_, "== heatmap interval=%llu cells=%zu ==\n",
+               static_cast<unsigned long long>(a.row_interval), a.row.size());
+    for (std::size_t i = 0; i < a.row.size(); ++i) {
+      append_fmt(buffer_, i == 0 ? "%a" : " %a", a.row[i]);
+    }
+    buffer_ += '\n';
+  }
+  buffer_ += "== end ==\n";
+}
+
+std::string IncidentStore::commit_locked(Incident& incident, bool partial) {
+  incident.id = next_id_++;
+  char name[64];
+  std::snprintf(name, sizeof name, "/incident-%06llu.mhmi",
+                static_cast<unsigned long long>(incident.id));
+  incident.path = options_.dir + name;
+  // The whole bundle is prerendered, `== end ==` last, so the on-disk state
+  // is always one of: absent, truncated (missing end marker), or complete.
+  render_locked(incident);
+  buffer_ += "== end ==\n";
+  const std::size_t write_len = partial ? buffer_.size() / 2 : buffer_.size();
+  if (!write_file(incident.path, buffer_.data(), write_len)) return "";
 
   IncidentSummary summary;
   summary.id = incident.id;
@@ -152,8 +303,8 @@ std::string IncidentStore::commit_locked(Incident& incident, bool partial) {
   summary.trigger_interval = incident.trigger_interval;
   summary.model_version = incident.model_version;
   summary.entries = incident.window.size();
-  summary.alarms = alarms;
-  summary.bytes = off;
+  for (const IncidentEntry& e : incident.window) summary.alarms += e.alarm;
+  summary.bytes = write_len;
   summary.path = incident.path;
   summary.verdicts = std::move(incident.window);
   for (IncidentEntry& e : summary.verdicts) {
@@ -166,9 +317,145 @@ std::string IncidentStore::commit_locked(Incident& incident, bool partial) {
   ring_.push_back(std::move(summary));
   ++total_;
   created_counter().add(1);
-  bytes_counter().add(off);
+  bytes_counter().add(write_len);
   last_trigger_gauge().set(static_cast<double>(incident.trigger_interval));
   return incident.path;
+}
+
+bool IncidentStore::arm(std::shared_ptr<const DecisionJournal> journal,
+                        bool handle_signals) {
+  if (build_info().obs_disabled) return false;
+  std::lock_guard<std::mutex> arm_lock(g_arm_mu);
+  if (g_armed_store != nullptr) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto armed = std::make_unique<Armed>();
+  armed->journal = std::move(journal);
+  armed->crash_path = state_path(options_.dir, "signal");
+  const int fd = ::open(armed->crash_path.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  {
+    std::lock_guard<std::mutex> row_lock(g_row_mu);
+    g_row.clear();
+  }
+  for (std::vector<char>& snapshot : g_snapshot) {
+    snapshot.assign(options_.buffer_bytes, '\0');
+  }
+  g_crash_fd.store(fd, std::memory_order_relaxed);
+  armed_ = std::move(armed);
+  publish_snapshot_locked();
+  if (handle_signals) {
+    struct sigaction sa;
+    std::memset(&sa, 0, sizeof sa);
+    sa.sa_handler = crash_handler;
+    sigemptyset(&sa.sa_mask);
+    ::sigaction(SIGSEGV, &sa, &armed_->old_segv);
+    ::sigaction(SIGABRT, &sa, &armed_->old_abrt);
+    armed_->handlers = true;
+  }
+  armed_->refresher = std::thread([this, a = armed_.get()] {
+    std::unique_lock<std::mutex> stop_lock(a->stop_mu);
+    while (!a->stop_cv.wait_for(stop_lock, kRefreshGap,
+                                [a] { return a->stop; })) {
+      stop_lock.unlock();
+      try {
+        std::lock_guard<std::mutex> refresh_lock(mu_);
+        publish_snapshot_locked();
+      } catch (const std::exception& e) {
+        // The previous snapshot stays published; say why it went stale.
+        std::fprintf(stderr, "incident store: snapshot refresh failed: %s\n",
+                     e.what());
+      }
+      detail::state_row_wanted.store(true, std::memory_order_relaxed);
+      stop_lock.lock();
+    }
+  });
+  g_armed_store = this;
+  detail::state_row_wanted.store(true, std::memory_order_relaxed);
+  return true;
+}
+
+void IncidentStore::disarm() {
+  {
+    std::lock_guard<std::mutex> arm_lock(g_arm_mu);
+    if (g_armed_store != this) return;
+    g_armed_store = nullptr;
+  }
+  Armed* a = armed_.get();
+  {
+    std::lock_guard<std::mutex> stop_lock(a->stop_mu);
+    a->stop = true;
+  }
+  a->stop_cv.notify_all();
+  a->refresher.join();
+
+  std::lock_guard<std::mutex> lock(mu_);
+  detail::state_row_wanted.store(false, std::memory_order_relaxed);
+  if (a->handlers) {
+    ::sigaction(SIGSEGV, &a->old_segv, nullptr);
+    ::sigaction(SIGABRT, &a->old_abrt, nullptr);
+  }
+  g_published.store(-1, std::memory_order_relaxed);
+  const int fd = g_crash_fd.exchange(-1, std::memory_order_relaxed);
+  if (fd >= 0) {
+    // The crash file only has content if the handler fired (and then this
+    // code never runs): an empty one is clutter.
+    struct stat st;
+    const bool empty = ::fstat(fd, &st) == 0 && st.st_size == 0;
+    ::close(fd);
+    if (empty) ::unlink(a->crash_path.c_str());
+  }
+  for (std::vector<char>& snapshot : g_snapshot) {
+    std::vector<char>().swap(snapshot);
+  }
+  armed_.reset();
+}
+
+bool IncidentStore::armed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return armed_ != nullptr;
+}
+
+void IncidentStore::set_model_health(
+    std::shared_ptr<const ModelHealthMonitor> monitor) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (armed_ != nullptr) armed_->model_health = std::move(monitor);
+}
+
+void IncidentStore::set_fleet(std::function<std::string()> provider) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (armed_ != nullptr) armed_->fleet = std::move(provider);
+}
+
+std::string IncidentStore::crash_file() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return armed_ != nullptr ? armed_->crash_path : "";
+}
+
+void IncidentStore::publish_snapshot_locked() {
+  // Double buffer: render into the unpublished slot, then publish its
+  // index, so a signal mid-refresh still sees the previous complete one.
+  // A snapshot larger than the slot is cut and parses as truncated.
+  render_state_locked("signal");
+  const int idx = g_published.load(std::memory_order_relaxed) == 0 ? 1 : 0;
+  const std::size_t n = std::min(buffer_.size(), g_snapshot[idx].size());
+  std::memcpy(g_snapshot[idx].data(), buffer_.data(), n);
+  g_snapshot_len[idx].store(n, std::memory_order_release);
+  g_published.store(idx, std::memory_order_release);
+}
+
+std::string IncidentStore::write_state(const std::string& reason) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (armed_ == nullptr) return "";
+  const std::string path = state_path(
+      options_.dir, std::to_string(armed_->writes++) + "-" + reason);
+  render_state_locked(reason);
+  return write_file(path, buffer_.data(), buffer_.size()) ? path : "";
+}
+
+std::string write_armed_state(const std::string& reason) {
+  std::lock_guard<std::mutex> arm_lock(g_arm_mu);
+  return g_armed_store != nullptr ? g_armed_store->write_state(reason) : "";
 }
 
 void IncidentStore::note_suppressed() { suppressed_counter().add(1); }
@@ -247,6 +534,11 @@ std::optional<std::string> IncidentStore::json_one(std::uint64_t id) const {
 std::string IncidentStore::dump_section() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
+  append_incidents_locked(out);
+  return out;
+}
+
+void IncidentStore::append_incidents_locked(std::string& out) const {
   append_fmt(out, "committed %llu retained %zu\n",
              static_cast<unsigned long long>(total_), ring_.size());
   for (const IncidentSummary& s : ring_) {
@@ -258,7 +550,6 @@ std::string IncidentStore::dump_section() const {
                static_cast<unsigned long long>(s.model_version), s.entries,
                s.alarms, s.path.c_str());
   }
-  return out;
 }
 
 IncidentRecorder::IncidentRecorder(const IncidentOptions& options,
@@ -430,6 +721,7 @@ double parse_hex_double(const std::string& tok) {
 
 bool parse_incident_file(const std::string& path, IncidentBundle* out,
                          std::string* error) {
+  out->truncated = true;  // Until the end marker shows up.
   std::ifstream file(path);
   if (!file.good()) {
     if (error) *error = "cannot open " + path;
@@ -443,15 +735,17 @@ bool parse_incident_file(const std::string& path, IncidentBundle* out,
   Incident& inc = out->incident;
   inc = Incident{};
   inc.path = path;
-  out->truncated = true;  // Until the end marker shows up.
   out->build_info.clear();
+  out->sections.clear();
 
-  enum class Section { kHeader, kVerdicts, kCells, kRows, kProfile, kDone };
+  // kOther keeps any section this parser does not interpret (the profile
+  // and the process-state sections) verbatim, so a newer writer's sections
+  // never break an older reader.
+  enum class Section { kHeader, kVerdicts, kCells, kRows, kOther };
   Section section = Section::kHeader;
   while (std::getline(file, line)) {
     if (line == "== end ==") {
       out->truncated = false;
-      section = Section::kDone;
       break;
     }
     if (starts_with(line, "== verdicts ==")) {
@@ -466,8 +760,9 @@ bool parse_incident_file(const std::string& path, IncidentBundle* out,
       section = Section::kRows;
       continue;
     }
-    if (starts_with(line, "== profile ==")) {
-      section = Section::kProfile;
+    if (starts_with(line, "== ")) {
+      section = Section::kOther;
+      out->sections.push_back(BundleSection{line, {}});
       continue;
     }
     std::istringstream ls(line);
@@ -519,17 +814,28 @@ bool parse_incident_file(const std::string& path, IncidentBundle* out,
     } else if (section == Section::kRows) {
       unsigned long long iv = 0;
       if (!(ls >> iv)) break;
+      // Sized by the tokens present, never by the header's `cells`: the
+      // header is untrusted, the bytes on disk are not.
       std::vector<double> row;
-      row.reserve(inc.cells);
       std::string tok;
       while (ls >> tok) row.push_back(parse_hex_double(tok));
-      if (inc.cells != 0 && row.size() != inc.cells) break;  // Cut mid-row.
+      if (row.size() != inc.cells) {
+        if (file.eof()) break;  // Cut mid-row by a crash: stays truncated.
+        if (error) {
+          *error = path + ": row of interval " + std::to_string(iv) +
+                   " has " + std::to_string(row.size()) +
+                   " cells, header says " + std::to_string(inc.cells);
+        }
+        return false;
+      }
       for (IncidentEntry& e : inc.window) {
         if (e.interval == iv && e.row.empty()) {
           e.row = std::move(row);
           break;
         }
       }
+    } else {
+      out->sections.back().lines.push_back(line);
     }
   }
   return true;

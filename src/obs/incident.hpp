@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -11,26 +13,29 @@
 
 namespace mhm::obs {
 
-/// Incident black box.
+class DecisionJournal;
+class ModelHealthMonitor;
+
+/// Incident black box: the one crash-safe evidence format.
 ///
-/// An alarm today leaves behind a point-in-time flight dump and a bounded
-/// journal tail; neither is a self-contained record an operator can take
-/// offline and re-examine. The incident engine turns every alarm burst or
-/// health transition into a `.mhmi` bundle: the pre/post verdict window,
-/// the raw heat-map rows that produced it, the top-|z| cell deltas against
-/// the training baseline, and the model version — enough to re-score the
-/// whole window through `ModelRegistry` and reproduce the verdicts
-/// bit-identically (`mhm_tool incidents replay`).
+/// Every alarm burst or health transition becomes a `.mhmi` bundle: the
+/// pre/post verdict window, the raw heat-map rows that produced it, the
+/// top-|z| cell deltas against the training baseline, and the model
+/// version — enough to re-score the whole window through `ModelRegistry`
+/// and reproduce the verdicts bit-identically (`mhm_tool incidents replay`).
+/// An armed store also writes process-state bundles (reason `signal`,
+/// `flush` or `shutdown`) in the same format: the metrics, journal tail,
+/// trace, model health, fleet rollup, incident list and newest heat-map
+/// row, appended after `== profile ==` (docs/FILE_FORMATS.md).
 ///
-/// Two layers, mirroring journal/flight:
+/// Two layers:
 ///  - IncidentRecorder: per-stream trigger logic + bounded pre-ring. One per
 ///    Session, fed from StreamObserver::record.
 ///  - IncidentStore: process-level sink shared by every recorder. Renders
-///    bundles into a preallocated buffer (the flight recorder's discipline:
-///    prerender, then one write(2) sweep, `== end ==` last — a crash mid-
-///    write leaves a truncated file that parses as truncated, never a
-///    corrupt one), rate-limits, and keeps bounded summaries for /incidents
-///    and the `== incidents ==` dump section.
+///    every bundle into a preallocated buffer and writes it front to back
+///    with `== end ==` last — a crash mid-write leaves a truncated file
+///    that parses as truncated, never a corrupt one — rate-limits, and
+///    keeps bounded summaries for /incidents.
 
 struct IncidentOptions {
   std::size_t pre = 16;           ///< Intervals retained before the trigger.
@@ -107,14 +112,21 @@ class IncidentStore {
   };
 
   explicit IncidentStore(const Options& options);
+  /// Disarms (see arm()).
+  ~IncidentStore();
+  IncidentStore(const IncidentStore&) = delete;
+  IncidentStore& operator=(const IncidentStore&) = delete;
 
   /// Render + write the bundle, assign its id, retain a summary. Returns
-  /// the bundle path ("" when the write failed). Thread-safe.
+  /// the bundle path ("" when the write failed; nothing is retained then).
+  /// Thread-safe.
   std::string commit(Incident incident);
 
   /// Called by recorders when a trigger was rate-limited away.
   void note_suppressed();
 
+  /// Triggered incidents only: process-state bundles are neither counted
+  /// nor summarized.
   std::vector<IncidentSummary> summaries() const;
   std::uint64_t total_committed() const;
 
@@ -124,10 +136,40 @@ class IncidentStore {
   /// Nullopt when the id is unknown.
   std::optional<std::string> json_one(std::uint64_t id) const;
 
-  /// Text block for the flight dump's `== incidents ==` section.
+  /// Text block for the process-state `== incidents ==` section.
   std::string dump_section() const;
 
   const Options& options() const { return options_; }
+
+  /// Make this store the process's crash-evidence writer: open the crash
+  /// bundle (`mhm-<stamp>-signal-<pid>.mhmi`) now, prerender a process-
+  /// state snapshot into a preallocated double buffer, start a thread that
+  /// re-renders it every 250 ms, and (with `handle_signals`) install
+  /// SIGSEGV/SIGABRT handlers that write the published snapshot to the
+  /// open file — write + fsync, no allocation, no lock — and re-raise.
+  /// `journal` (may be null) feeds the journal-tail section. Returns
+  /// false when a store is already armed, the crash file cannot be
+  /// created, or the obs layer is compiled out. An unarmed store runs no
+  /// thread and installs no handler.
+  bool arm(std::shared_ptr<const DecisionJournal> journal,
+           bool handle_signals = true);
+  /// Stop the refresh thread, restore the previous signal handlers, close
+  /// the crash file and remove it if no signal fired. Safe when unarmed.
+  void disarm();
+  bool armed() const;
+
+  /// Attach (null detaches) the monitor behind `== model_health ==`.
+  void set_model_health(std::shared_ptr<const ModelHealthMonitor> monitor);
+  /// Attach (empty detaches) the JSON provider behind `== fleet ==` (the
+  /// fleet runner's snapshot renderer); it runs on the refresh thread.
+  void set_fleet(std::function<std::string()> provider);
+
+  /// Write a process-state bundle now (`mhm-<stamp>-<n>-<reason>-<pid>.mhmi`;
+  /// reason `flush` or `shutdown`). Returns the path, or "" when unarmed or
+  /// the write failed.
+  std::string write_state(const std::string& reason);
+  /// Path the signal handler writes to ("" while unarmed).
+  std::string crash_file() const;
 
   /// Test hook: render `incident` and write only the first half of the
   /// bundle, simulating a crash mid-write. The file must still parse (as
@@ -135,7 +177,17 @@ class IncidentStore {
   std::string debug_commit_partial(Incident incident);
 
  private:
+  struct Armed;
+
   std::string commit_locked(Incident& incident, bool partial);
+  /// Prerender one bundle into buffer_ up to and including its
+  /// `== profile ==` section; the caller appends the rest and `== end ==`.
+  void render_locked(const Incident& incident);
+  /// A process-state bundle: the newest row, the state sections, the end.
+  void render_state_locked(const std::string& reason);
+  /// Render the crash snapshot and publish it to the signal handler.
+  void publish_snapshot_locked();
+  void append_incidents_locked(std::string& out) const;
 
   Options options_;
   mutable std::mutex mu_;
@@ -143,7 +195,27 @@ class IncidentStore {
   std::uint64_t next_id_ = 1;
   std::uint64_t total_ = 0;
   std::vector<IncidentSummary> ring_;  ///< Bounded, oldest dropped.
+  std::unique_ptr<Armed> armed_;       ///< Null while unarmed.
 };
+
+/// The armed store's write_state(reason) — what GET /flush calls. "" when
+/// no store is armed.
+std::string write_armed_state(const std::string& reason);
+
+namespace detail {
+/// Set while the armed store's refresh thread wants the newest heat-map row.
+extern std::atomic<bool> state_row_wanted;
+void offer_state_row(std::span<const double> raw, std::uint64_t interval);
+}  // namespace detail
+
+/// Scoring-path hook (StreamObserver::record): hands the armed store the
+/// newest heat-map row once per refresh. One relaxed load otherwise.
+inline void note_state_row(std::span<const double> raw,
+                           std::uint64_t interval) {
+  if (detail::state_row_wanted.load(std::memory_order_relaxed)) {
+    detail::offer_state_row(raw, interval);
+  }
+}
 
 class IncidentRecorder {
  public:
@@ -195,16 +267,26 @@ class IncidentRecorder {
   std::uint64_t suppressed_ = 0;
 };
 
-/// A parsed `.mhmi` bundle (mhm_tool incidents show/replay).
+/// A section the parser does not interpret (`== profile ==` and the
+/// process-state sections), kept verbatim.
+struct BundleSection {
+  std::string header;  ///< The `== ... ==` line.
+  std::vector<std::string> lines;
+};
+
+/// A parsed `.mhmi` bundle (mhm_tool incidents list/show/replay).
 struct IncidentBundle {
   Incident incident;
   bool truncated = false;       ///< `== end ==` marker missing.
   std::vector<std::string> build_info;  ///< Header `build.*` lines, verbatim.
+  std::vector<BundleSection> sections;  ///< In file order.
 };
 
-/// Parse a bundle file. Returns false only on I/O failure or a malformed
-/// header; a file cut off mid-write parses with `truncated` set and
-/// whatever entries were complete.
+/// Parse a bundle file. Returns false on I/O failure, a malformed header,
+/// or a complete heat-map row whose length disagrees with `cells`; a file
+/// cut off mid-write parses with `truncated` set and whatever entries were
+/// complete. `truncated` is set on every return unless `== end ==` was
+/// read.
 bool parse_incident_file(const std::string& path, IncidentBundle* out,
                          std::string* error);
 

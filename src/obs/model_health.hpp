@@ -30,10 +30,10 @@ namespace mhm::obs {
 ///
 /// The verdict is a three-state `model_health.status` gauge —
 /// OK / DRIFTING / MISCALIBRATED — exported through the registry, served as
-/// JSON by the /model route, embedded in flight-recorder dumps, and rendered
-/// live by `mhm_tool watch`. Like the rest of the obs layer the monitor
-/// never feeds back into detection, so the determinism guarantees of the
-/// pipeline are untouched; under MHM_OBS_DISABLE the monitor compiles down
+/// JSON by the /model route, embedded in process-state `.mhmi` bundles, and
+/// rendered live by `mhm_tool watch`. Like the rest of the obs layer the
+/// monitor never feeds back into detection, so the determinism guarantees of
+/// the pipeline are untouched; under MHM_OBS_DISABLE the monitor compiles down
 /// to an empty shell while the pure primitives below stay available.
 
 /// Streaming quantile estimate by the P² algorithm (Jain & Chlamtac,

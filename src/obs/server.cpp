@@ -10,7 +10,6 @@
 #include "obs/build_info.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/incident.hpp"
 #include "obs/metrics.hpp"
@@ -466,10 +465,10 @@ void MonitorServer::Impl::respond(int fd, const std::string& target) {
     return;
   }
   if (path == "/flush") {
-    const std::string dumped = FlightRecorder::instance().dump("flush");
+    const std::string dumped = write_armed_state("flush");
     if (dumped.empty()) {
       send_response(fd, 503, "Service Unavailable", "text/plain",
-                    "flight recorder not armed\n");
+                    "no incident store armed\n");
       return;
     }
     send_response(fd, 200, "OK", "application/json",

@@ -40,7 +40,8 @@ class ScoreHistory;
 ///                     is flamegraph.pl / speedscope collapsed stacks
 ///   /version          build info JSON: git describe, compiler, SIMD tier,
 ///                     profiler counter source
-///   /flush            force a flight-recorder dump, returns its path
+///   /flush            write a process-state `.mhmi` bundle (reason flush)
+///                     from the armed incident store, returns its path
 ///
 /// Malformed or out-of-range query parameters (?tail=, ?res=, ?from=,
 /// ?format=, a non-numeric incident id) answer 400 with a JSON error

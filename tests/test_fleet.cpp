@@ -28,7 +28,7 @@
 #include "fleet/aggregator.hpp"
 #include "fleet/spec.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
+#include "obs/incident.hpp"
 #include "obs/metrics.hpp"
 #include "obs/model_health.hpp"
 #include "obs/server.hpp"
@@ -373,7 +373,7 @@ TEST_F(FleetTest, ServerServesFleetRoute) {
   server.stop();
 }
 
-TEST_F(FleetTest, FlightRecorderDumpCarriesFleetSection) {
+TEST_F(FleetTest, StateBundleCarriesFleetSection) {
   obs::set_enabled(true);
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
   FleetRunner runner = make_runner(small_spec());
@@ -383,13 +383,13 @@ TEST_F(FleetTest, FlightRecorderDumpCarriesFleetSection) {
       std::filesystem::temp_directory_path() / "mhm_fleet_dump_test";
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  obs::FlightRecorder::Options opts;
+  obs::IncidentStore::Options opts;
   opts.dir = dir.string();
-  ASSERT_TRUE(obs::FlightRecorder::instance().arm(opts, nullptr));
-  obs::FlightRecorder::instance().set_fleet(
-      [&runner] { return runner.json(); });
-  const std::string path = obs::FlightRecorder::instance().dump("test");
-  obs::FlightRecorder::instance().disarm();
+  obs::IncidentStore store(opts);
+  ASSERT_TRUE(store.arm(nullptr));
+  store.set_fleet([&runner] { return runner.json(); });
+  const std::string path = store.write_state("flush");
+  store.disarm();
   ASSERT_FALSE(path.empty());
 
   std::ifstream in(path);

@@ -1,7 +1,7 @@
 // The externally visible observability surface: the Chrome trace exporter,
-// the loopback HTTP monitoring endpoint, and the flight recorder's dump
-// files. Everything here drives the same code paths an operator would —
-// real sockets, real files — at test scale.
+// the loopback HTTP monitoring endpoint, and the armed incident store's
+// process-state bundles. Everything here drives the same code paths an
+// operator would — real sockets, real files — at test scale.
 
 #include "obs/server.hpp"
 
@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -29,7 +30,6 @@
 #include "obs/build_info.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/history.hpp"
 #include "obs/incident.hpp"
 #include "obs/journal.hpp"
@@ -671,62 +671,113 @@ TEST_F(MonitorServerTest, ConcurrentHistoryAndIncidentScrapes) {
   server_.set_incidents(nullptr);
 }
 
-TEST(FlightRecorderTest, DumpWritesParseableFile) {
-  EnabledGuard guard;
-  if (!enabled()) GTEST_SKIP() << "obs layer compiled out";
+/// A fresh per-test scratch directory under the gtest temp dir.
+std::string test_dir() {
   const ::testing::TestInfo* info =
       ::testing::UnitTest::GetInstance()->current_test_info();
   const std::string dir = std::string(::testing::TempDir()) + "mhm_" +
-                          info->name();
-  std::remove(dir.c_str());
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST, true);
+                          info->test_suite_name() + "_" + info->name();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
 
+TEST(IncidentStateTest, FlushWritesParseableBundle) {
+  EnabledGuard guard;
+  if (!enabled()) GTEST_SKIP() << "obs layer compiled out";
   auto journal = std::make_shared<DecisionJournal>(8);
   DecisionRecord rec;
   rec.interval_index = 3;
   rec.alarm = true;
   journal->append_swap(rec);
 
-  FlightRecorder::Options opts;
-  opts.dir = dir;
-  opts.handle_signals = false;  // Leave gtest's death-test handlers alone.
-  ASSERT_TRUE(FlightRecorder::instance().arm(opts, journal));
+  Registry::instance().counter("test.flush_probe", "state-bundle probe").add(1);
+
+  IncidentStore::Options opts;
+  opts.dir = test_dir();
+  IncidentStore store(opts);
+  // No signal handlers: leave gtest's death-test handlers alone.
+  ASSERT_TRUE(store.arm(journal, /*handle_signals=*/false));
   const std::vector<double> row41 = {1.0, 2.0, 3.0};
-  FlightRecorder::instance().note_interval(row41, 41, false);
+  note_state_row(row41, 41);  // Arming asks for a row at once.
 
-  const std::string path = FlightRecorder::instance().dump("unit_test");
+  const std::string path = store.write_state("flush");
   ASSERT_FALSE(path.empty());
-  FlightRecorder::instance().disarm();
-  EXPECT_FALSE(FlightRecorder::instance().armed());
+  store.disarm();
+  EXPECT_FALSE(store.armed());
+  EXPECT_EQ(store.total_committed(), 0u);  // Process state is no incident.
 
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good());
-  std::string line;
-  ASSERT_TRUE(std::getline(file, line));
-  EXPECT_EQ(line, "MHMDUMP 1");
-  std::stringstream rest;
-  rest << file.rdbuf();
-  const std::string text = rest.str();
-  EXPECT_NE(text.find("reason unit_test"), std::string::npos);
-  EXPECT_NE(text.find("== metrics =="), std::string::npos);
-  EXPECT_NE(text.find("== journal tail=1 =="), std::string::npos);
-  EXPECT_NE(text.find("\"interval\":3"), std::string::npos);
-  EXPECT_NE(text.find("== heatmap kind=last interval=41 cells=3 =="),
-            std::string::npos);
-  EXPECT_NE(text.find("== end =="), std::string::npos);
+  IncidentBundle bundle;
+  std::string error;
+  ASSERT_TRUE(parse_incident_file(path, &bundle, &error)) << error;
+  EXPECT_FALSE(bundle.truncated);  // The end marker is there.
+  EXPECT_EQ(bundle.incident.reason, "flush");
+  EXPECT_TRUE(bundle.incident.window.empty());
+  const auto section = [&](const std::string& header) {
+    for (const BundleSection& s : bundle.sections) {
+      if (s.header == header) return &s;
+    }
+    return static_cast<const BundleSection*>(nullptr);
+  };
+  const BundleSection* metrics = section("== metrics ==");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_TRUE(std::any_of(metrics->lines.begin(), metrics->lines.end(),
+                          [](const std::string& line) {
+                            return line.rfind("mhm_test_flush_probe ", 0) == 0;
+                          }));
+  const BundleSection* tail = section("== journal tail=1 ==");
+  ASSERT_NE(tail, nullptr);
+  ASSERT_EQ(tail->lines.size(), 1u);
+  EXPECT_NE(tail->lines[0].find("\"interval\":3"), std::string::npos);
+  const BundleSection* heat = section("== heatmap interval=41 cells=3 ==");
+  ASSERT_NE(heat, nullptr);
+  ASSERT_EQ(heat->lines.size(), 1u);
+  EXPECT_EQ(heat->lines[0], "0x1p+0 0x1p+1 0x1.8p+1");
+  // The sections follow `== profile ==`, which an older reader skips to
+  // the end marker.
+  EXPECT_EQ(bundle.sections.front().header, "== profile ==");
 }
 
-TEST(FlightRecorderTest, SecondArmFailsUntilDisarmed) {
+TEST(IncidentStateTest, SecondArmFailsUntilDisarmed) {
   EnabledGuard guard;
   if (!enabled()) GTEST_SKIP() << "obs layer compiled out";
-  FlightRecorder::Options opts;
-  opts.dir = ::testing::TempDir();
-  opts.handle_signals = false;
-  ASSERT_TRUE(FlightRecorder::instance().arm(opts, nullptr));
-  EXPECT_FALSE(FlightRecorder::instance().arm(opts, nullptr));
-  FlightRecorder::instance().disarm();
-  EXPECT_TRUE(FlightRecorder::instance().arm(opts, nullptr));
-  FlightRecorder::instance().disarm();
+  IncidentStore::Options opts;
+  opts.dir = test_dir();
+  IncidentStore first(opts);
+  IncidentStore second(opts);
+  ASSERT_TRUE(first.arm(nullptr, false));
+  EXPECT_FALSE(first.arm(nullptr, false));
+  EXPECT_FALSE(second.arm(nullptr, false));  // One armed store per process.
+  first.disarm();
+  EXPECT_TRUE(second.arm(nullptr, false));
+  second.disarm();
+  // Nothing fired, so no crash bundle is left behind.
+  EXPECT_TRUE(std::filesystem::is_empty(opts.dir));
+}
+
+TEST_F(MonitorServerTest, FlushWithoutArmedStoreAnswers503) {
+  const std::string response = get_path(server_.port(), "/flush");
+  EXPECT_NE(response.find("503"), std::string::npos) << response;
+}
+
+TEST_F(MonitorServerTest, FlushWritesCompleteFlushBundle) {
+  IncidentStore::Options opts;
+  opts.dir = test_dir();
+  IncidentStore store(opts);
+  ASSERT_TRUE(store.arm(nullptr, /*handle_signals=*/false));
+  const std::string response = get_path(server_.port(), "/flush");
+  store.disarm();
+  ASSERT_NE(response.find("200 OK"), std::string::npos) << response;
+  const std::string body = body_of(response);
+  const std::string key = "{\"path\":\"";
+  ASSERT_EQ(body.rfind(key, 0), 0u) << body;
+  const std::string path =
+      body.substr(key.size(), body.find('"', key.size()) - key.size());
+  IncidentBundle bundle;
+  std::string error;
+  ASSERT_TRUE(parse_incident_file(path, &bundle, &error)) << error;
+  EXPECT_FALSE(bundle.truncated);
+  EXPECT_EQ(bundle.incident.reason, "flush");
 }
 
 TEST(MonitorServerDisabled, StartFailsWhenObsOff) {

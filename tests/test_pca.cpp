@@ -276,9 +276,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(TopkCase{50, 256},    // N < L, small: Gram route
                       TopkCase{500, 640},   // N < L, mid: Gram route
                       TopkCase{5000, 256}), // N > L: randomized route
-    [](const ::testing::TestParamInfo<TopkCase>& info) {
-      return "n" + std::to_string(info.param.n) + "d" +
-             std::to_string(info.param.dim);
+    [](const ::testing::TestParamInfo<TopkCase>& param_info) {
+      return "n" + std::to_string(param_info.param.n) + "d" +
+             std::to_string(param_info.param.dim);
     });
 
 TEST(EigenmemoryTopk, DeterministicAcrossThreadCounts) {

@@ -79,12 +79,13 @@
 //                    [--retrain-window N] [--retrain-sustain N]
 //                    [--retrain-cooldown N] [--retrain-min-window N]
 //                    [--mode-change-after S]
-//       Train a fast-scale detector, arm the flight recorder and the
-//       incident store (bundles land in --flight-dir), start the HTTP
-//       monitoring endpoint on 127.0.0.1:P (0 = ephemeral, printed at
-//       startup) and replay N attack scenarios against it, scored as one
-//       continuous stream by one live session, so /metrics, /status,
-//       /journal, /trace, /history and /incidents serve live data.
+//       Train a fast-scale detector, arm the incident store (bundles land
+//       in --flight-dir, plus a process-state one on crash, /flush and
+//       shutdown), start the HTTP monitoring endpoint on 127.0.0.1:P
+//       (0 = ephemeral, printed at startup) and replay N attack scenarios
+//       against it, scored as one continuous stream by one live session,
+//       so /metrics, /status, /journal, /trace, /history and /incidents
+//       serve live data.
 //       --registry saves the trained model there first and stamps
 //       its version on every verdict and bundle (the handle `incidents
 //       replay` needs); --incident-gap shrinks the per-stream rate limit;
@@ -99,12 +100,13 @@
 //   mhm_tool incidents list --dir <dir>
 //   mhm_tool incidents show --in <file.mhmi>
 //   mhm_tool incidents replay --in <file.mhmi> --registry <dir>
-//       Black-box forensics on committed `.mhmi` bundles: scan a
-//       directory, pretty-print one bundle (exit 1 if truncated), or
-//       re-score the captured pre/post window through the bundled model
-//       version from the registry and assert the verdicts reproduce
-//       bit-identically (hexfloat compare; exit 0 only on a perfect
-//       match).
+//       Black-box forensics on `.mhmi` bundles: scan a directory,
+//       pretty-print one bundle (exit 1 if truncated; a process-state
+//       bundle also gets its headline metrics, journal alarms, trace
+//       spans and heat-map row summarized), or re-score the captured
+//       pre/post window through the bundled model version from the
+//       registry and assert the verdicts reproduce bit-identically
+//       (hexfloat compare; exit 0 only on a perfect match).
 //
 //   mhm_tool fleet   [--spec fleet.ini] [--devices N] [--shards S]
 //                    [--intervals I] [--seed X] [--top-k K] [--attack name]
@@ -130,10 +132,6 @@
 //       sorted by wall time (--top N keeps the N hottest stages);
 //       --format json prints the raw document, --format collapsed prints
 //       flamegraph.pl / speedscope collapsed stacks.
-//
-//   mhm_tool dump    --in file.mhmdump
-//       Pretty-print a flight-recorder dump: why and when it was written,
-//       headline metrics, journal alarms, and the captured heatmap row.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -170,7 +168,6 @@
 #include "hw/address_trace.hpp"
 #include "hw/memometer.hpp"
 #include "obs/export.hpp"
-#include "obs/flight.hpp"
 #include "obs/incident.hpp"
 #include "obs/model_health.hpp"
 #include "obs/prof.hpp"
@@ -783,19 +780,17 @@ int cmd_serve(const Args& args) {
   }
   engine::Session session = engine.new_session(so);
 
+  // Incident black box, armed: triggered bundles and the process-state
+  // ones (crash, /flush, shutdown) all land in --flight-dir.
   const auto live_journal = session.journal_ptr();
-  obs::FlightRecorder::Options fr_opts;
-  fr_opts.dir = args.get("flight-dir", ".");
-  if (!obs::FlightRecorder::instance().arm(fr_opts, live_journal)) {
-    std::fprintf(stderr, "serve: cannot arm flight recorder in %s\n",
-                 fr_opts.dir.c_str());
+  obs::IncidentStore::Options inc_opts;
+  inc_opts.dir = args.get("flight-dir", ".");
+  auto incidents = std::make_shared<obs::IncidentStore>(inc_opts);
+  if (!incidents->arm(live_journal)) {
+    std::fprintf(stderr, "serve: cannot arm the incident store in %s\n",
+                 inc_opts.dir.c_str());
     return 1;
   }
-
-  // Incident black box: bundles land next to the flight dumps.
-  obs::IncidentStore::Options inc_opts;
-  inc_opts.dir = fr_opts.dir;
-  auto incidents = std::make_shared<obs::IncidentStore>(inc_opts);
   obs::IncidentOptions inc_trigger;
   inc_trigger.min_gap = args.get_u64("incident-gap", inc_trigger.min_gap);
   session.attach_incidents(inc_trigger, incidents);
@@ -806,16 +801,14 @@ int cmd_serve(const Args& args) {
   if (!server.start(srv_opts)) {
     std::fprintf(stderr, "serve: cannot bind 127.0.0.1:%llu\n",
                  static_cast<unsigned long long>(args.get_u64("port", 0)));
-    obs::FlightRecorder::instance().disarm();
+    incidents->disarm();
     return 1;
   }
   server.set_journal(live_journal);
   server.set_model_health(session.model_health());
   server.set_history(session.score_history());
   server.set_incidents(incidents);
-  obs::FlightRecorder::instance().set_model_health(session.model_health());
-  obs::FlightRecorder::instance().set_incidents(
-      [incidents] { return incidents->dump_section(); });
+  incidents->set_model_health(session.model_health());
 
   // Retrain loop: drive the policy from the session's per-interval health
   // verdicts; on publish, annotate the journal, drop a synthetic incident
@@ -883,8 +876,8 @@ int cmd_serve(const Args& args) {
   std::uint64_t next_interval = 0;
   for (std::uint64_t s = 0; s < scenarios; ++s) {
     std::unique_ptr<attacks::AttackScenario> attack;
-    // Alternate normal / attacked replays: the journal and the flight
-    // recorder then hold both quiet intervals and alarms.
+    // Alternate normal / attacked replays: the journal and the incident
+    // store then hold both quiet intervals and alarms.
     if (s % 2 == 1 && attack_name != "normal") {
       attack = attacks::make_scenario(attack_name);
     }
@@ -908,7 +901,7 @@ int cmd_serve(const Args& args) {
     // A publish rebinds the session's health monitor at the swap boundary;
     // re-attach the live handle for /model and the recorder.
     server.set_model_health(session.model_health());
-    obs::FlightRecorder::instance().set_model_health(session.model_health());
+    incidents->set_model_health(session.model_health());
     std::printf("replay %llu/%llu: '%s', %zu intervals, %zu alarms so far",
                 static_cast<unsigned long long>(s + 1),
                 static_cast<unsigned long long>(scenarios),
@@ -924,7 +917,7 @@ int cmd_serve(const Args& args) {
   if (manager != nullptr) {
     manager->drain();
     server.set_model_health(session.model_health());
-    obs::FlightRecorder::instance().set_model_health(session.model_health());
+    incidents->set_model_health(session.model_health());
     std::printf("retrain loop: %llu published, %llu rejected, state %s, "
                 "serving model version %llu\n",
                 static_cast<unsigned long long>(manager->published()),
@@ -949,128 +942,14 @@ int cmd_serve(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }
 
-  const std::string final_dump =
-      obs::FlightRecorder::instance().dump("shutdown");
+  const std::string final_dump = incidents->write_state("shutdown");
   obs::prof::stop_sampler();
   server.stop();
-  obs::FlightRecorder::instance().disarm();
+  incidents->disarm();
   std::printf("served %llu replays, %zu alarms; final dump: %s\n",
               static_cast<unsigned long long>(scenarios), alarms,
               final_dump.empty() ? "(none)" : final_dump.c_str());
   return 0;
-}
-
-int cmd_dump(const Args& args) {
-  std::string in_path;
-  if (!args.require("in", &in_path)) {
-    std::fprintf(stderr, "dump: --in <file.mhmdump> is required\n");
-    return 1;
-  }
-  std::ifstream file(in_path, std::ios::binary);
-  if (!file) {
-    std::fprintf(stderr, "dump: cannot open %s\n", in_path.c_str());
-    return 1;
-  }
-  std::string line;
-  if (!std::getline(file, line) || line != "MHMDUMP 1") {
-    std::fprintf(stderr, "dump: %s is not an MHMDUMP version 1 file\n",
-                 in_path.c_str());
-    return 1;
-  }
-  std::printf("flight-recorder dump: %s\n", in_path.c_str());
-
-  // Header key/value lines run until the first "== section ==" marker.
-  std::string section;
-  while (std::getline(file, line)) {
-    if (line.rfind("== ", 0) == 0) {
-      section = line;
-      break;
-    }
-    const auto space = line.find(' ');
-    if (space == std::string::npos) continue;
-    std::printf("  %-12s %s\n", line.substr(0, space).c_str(),
-                line.substr(space + 1).c_str());
-  }
-
-  // Walk the sections, summarizing each. Metric lines are Prometheus text,
-  // journal lines are one JSON record each, the heatmap is raw doubles.
-  std::size_t metric_lines = 0;
-  std::size_t journal_records = 0;
-  std::size_t journal_alarms = 0;
-  std::size_t trace_events = 0;
-  std::vector<std::string> headline;
-  std::vector<double> heat_row;
-  std::string heat_header;
-  bool saw_end = false;
-  while (!section.empty()) {
-    std::string next;
-    const bool in_metrics = section == "== metrics ==";
-    const bool in_journal = section.rfind("== journal", 0) == 0;
-    const bool in_trace = section == "== trace ==";
-    const bool in_heatmap = section.rfind("== heatmap", 0) == 0;
-    if (in_heatmap) heat_header = section;
-    if (section == "== end ==") saw_end = true;
-    while (std::getline(file, line)) {
-      if (line.rfind("== ", 0) == 0) {
-        next = line;
-        break;
-      }
-      if (in_metrics && !line.empty() && line[0] != '#') {
-        ++metric_lines;
-        // Surface the counters an operator asks about first.
-        for (const char* want :
-             {"mhm_detector_intervals_analyzed", "mhm_detector_alarms ",
-              "mhm_core_gmm_log_likelihood"}) {
-          if (line.rfind(want, 0) == 0) headline.push_back(line);
-        }
-      } else if (in_journal && !line.empty()) {
-        ++journal_records;
-        if (line.find("\"alarm\":true") != std::string::npos) {
-          ++journal_alarms;
-        }
-      } else if (in_trace) {
-        for (std::size_t pos = 0;
-             (pos = line.find("\"ph\":\"X\"", pos)) != std::string::npos;
-             pos += 8) {
-          ++trace_events;
-        }
-      } else if (in_heatmap && !line.empty()) {
-        std::istringstream is(line);
-        double v = 0.0;
-        while (is >> v) heat_row.push_back(v);
-      }
-    }
-    section = next;
-  }
-  if (!saw_end) {
-    std::fprintf(stderr, "dump: warning: missing '== end ==' marker — the "
-                         "dump may be truncated\n");
-  }
-
-  std::printf("  metrics      %zu series\n", metric_lines);
-  for (const auto& h : headline) std::printf("    %s\n", h.c_str());
-  std::printf("  journal      %zu records, %zu alarms\n", journal_records,
-              journal_alarms);
-  std::printf("  trace        %zu span events\n", trace_events);
-  if (!heat_row.empty()) {
-    double total = 0.0;
-    double peak = 0.0;
-    std::size_t peak_cell = 0;
-    for (std::size_t i = 0; i < heat_row.size(); ++i) {
-      total += heat_row[i];
-      if (heat_row[i] > peak) {
-        peak = heat_row[i];
-        peak_cell = i;
-      }
-    }
-    std::printf("  %s\n", heat_header.c_str());
-    std::printf("  heatmap      %zu cells, %.0f total accesses, hottest "
-                "cell %zu (%.0f)\n",
-                heat_row.size(), total, peak_cell, peak);
-  } else {
-    std::printf("  heatmap      (no interval captured before the dump)\n");
-  }
-  return saw_end ? 0 : 1;
 }
 
 // --- incidents: black-box bundle forensics ---------------------------------
@@ -1126,6 +1005,64 @@ int cmd_incidents_list(const Args& args) {
   return 0;
 }
 
+/// Summarize a process-state bundle's sections: headline metrics, journal
+/// alarms, trace spans and the heat-map row.
+void show_state_sections(const std::vector<obs::BundleSection>& sections) {
+  for (const obs::BundleSection& sec : sections) {
+    const std::string& name = sec.header;
+    if (name == "== metrics ==") {
+      std::size_t series = 0;
+      std::vector<std::string> headline;
+      for (const std::string& line : sec.lines) {
+        if (line.empty() || line[0] == '#') continue;
+        ++series;
+        // Surface the counters an operator asks about first.
+        for (const char* want :
+             {"mhm_detector_intervals_analyzed", "mhm_detector_alarms ",
+              "mhm_core_gmm_log_likelihood"}) {
+          if (line.rfind(want, 0) == 0) headline.push_back(line);
+        }
+      }
+      std::printf("  metrics      %zu series\n", series);
+      for (const auto& h : headline) std::printf("    %s\n", h.c_str());
+    } else if (name.rfind("== journal", 0) == 0) {
+      std::size_t alarms = 0;
+      for (const std::string& line : sec.lines) {
+        alarms += line.find("\"alarm\":true") != std::string::npos;
+      }
+      std::printf("  journal      %zu records, %zu alarms\n", sec.lines.size(),
+                  alarms);
+    } else if (name == "== trace ==") {
+      std::size_t events = 0;
+      for (const std::string& line : sec.lines) {
+        for (std::size_t pos = 0;
+             (pos = line.find("\"ph\":\"X\"", pos)) != std::string::npos;
+             pos += 8) {
+          ++events;
+        }
+      }
+      std::printf("  trace        %zu span events\n", events);
+    } else if (name.rfind("== heatmap", 0) == 0) {
+      std::vector<double> row;
+      for (const std::string& line : sec.lines) {
+        std::istringstream is(line);
+        std::string tok;
+        while (is >> tok) row.push_back(std::strtod(tok.c_str(), nullptr));
+      }
+      double total = 0.0;
+      std::size_t peak = 0;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        total += row[i];
+        if (row[i] > row[peak]) peak = i;
+      }
+      std::printf("  %s\n", name.c_str());
+      std::printf("  heatmap      %zu cells, %.0f total accesses, hottest "
+                  "cell %zu (%.0f)\n",
+                  row.size(), total, peak, row.empty() ? 0.0 : row[peak]);
+    }
+  }
+}
+
 int cmd_incidents_show(const Args& args) {
   std::string in_path;
   if (!args.require("in", &in_path)) {
@@ -1170,6 +1107,7 @@ int cmd_incidents_show(const Args& args) {
                 e.alarm ? "YES" : "no", e.nearest_pattern,
                 e.row.empty() ? "-" : "captured");
   }
+  show_state_sections(bundle.sections);
   if (bundle.truncated) {
     std::fprintf(stderr, "incidents show: %s is TRUNCATED (missing "
                          "'== end ==' — crash mid-write)\n",
@@ -1624,10 +1562,13 @@ int cmd_fleet(const Args& args) {
   fleet::FleetRunner runner(std::move(spec), cfg, pipe.detector->snapshot());
   const fleet::FleetSpec& fs = runner.spec();
 
-  // Serve /fleet while the run is live (and arm the recorder so any dump
-  // carries the `== fleet ==` section). Both optional: the run itself works
-  // with observability disabled.
+  // Serve /fleet while the run is live, and arm an incident store so its
+  // process-state bundles carry the `== fleet ==` section. Both optional:
+  // the run itself works with observability disabled.
   obs::MonitorServer server;
+  obs::IncidentStore::Options store_opts;
+  store_opts.dir = args.get("flight-dir", ".");
+  obs::IncidentStore store(store_opts);
   bool armed = false;
   if (obs::enabled()) {
     obs::MonitorServer::Options srv_opts;
@@ -1638,13 +1579,8 @@ int cmd_fleet(const Args& args) {
       return 1;
     }
     server.set_fleet([&runner] { return runner.json(); });
-    obs::FlightRecorder::Options fr_opts;
-    fr_opts.dir = args.get("flight-dir", ".");
-    armed = obs::FlightRecorder::instance().arm(fr_opts, nullptr);
-    if (armed) {
-      obs::FlightRecorder::instance().set_fleet(
-          [&runner] { return runner.json(); });
-    }
+    armed = store.arm(nullptr);
+    if (armed) store.set_fleet([&runner] { return runner.json(); });
     std::printf("serving http://127.0.0.1:%u (fleet, metrics, healthz, "
                 "status, flush)\n",
                 static_cast<unsigned>(server.port()));
@@ -1676,8 +1612,8 @@ int cmd_fleet(const Args& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
   }
   if (armed) {
-    const std::string dump = obs::FlightRecorder::instance().dump("shutdown");
-    obs::FlightRecorder::instance().disarm();
+    const std::string dump = store.write_state("shutdown");
+    store.disarm();
     if (!dump.empty()) std::printf("final dump: %s\n", dump.c_str());
   }
   server.stop();
@@ -1690,7 +1626,7 @@ int cmd_fleet(const Args& args) {
 void usage() {
   std::fprintf(stderr,
                "usage: mhm_tool <train|record|ingest|inspect|monitor|replay"
-               "|retrain|simulate|metrics|journal|serve|watch|prof|fleet|dump"
+               "|retrain|simulate|metrics|journal|serve|watch|prof|fleet"
                "|incidents> [--flag value]...\n"
                "       mhm_tool retrain --trace <trace.mhmt> "
                "--registry <dir>\n"
@@ -1743,20 +1679,19 @@ int main(int argc, char** argv) {
     if (cmd == "watch") return cmd_watch(args);
     if (cmd == "prof") return cmd_prof(args);
     if (cmd == "fleet") return cmd_fleet(args);
-    if (cmd == "dump") return cmd_dump(args);
     if (cmd == "selftest-crash") {
-      // Hidden hook for the crash-dump CLI test: arm the recorder exactly
+      // Hidden hook for the crash-dump CLI test: arm an incident store
       // like `serve` does, then die by SIGSEGV. The test asserts the
-      // handler left a parseable .mhmdump behind.
-      obs::FlightRecorder::Options fr_opts;
-      fr_opts.dir = args.get("flight-dir", ".");
-      if (!obs::FlightRecorder::instance().arm(fr_opts, nullptr)) {
+      // handler left a complete `reason signal` bundle behind.
+      obs::IncidentStore::Options opts;
+      opts.dir = args.get("flight-dir", ".");
+      obs::IncidentStore store(opts);
+      if (!store.arm(nullptr)) {
         std::fprintf(stderr, "selftest-crash: cannot arm (obs compiled "
                              "out?); nothing to test\n");
         return 77;  // Conventional "skipped" exit code.
       }
-      std::printf("crash file: %s\n",
-                  obs::FlightRecorder::instance().crash_file().c_str());
+      std::printf("crash file: %s\n", store.crash_file().c_str());
       std::fflush(stdout);
       std::raise(SIGSEGV);
       return 1;  // Unreachable: the re-raised signal kills the process.
