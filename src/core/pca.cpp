@@ -10,7 +10,6 @@
 #include "linalg/vector_ops.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
-#include "obs/trace.hpp"
 
 namespace mhm {
 
@@ -126,7 +125,6 @@ void publish_fit_gauges(const Eigenmemory& em) {
 
 Eigenmemory Eigenmemory::fit(const std::vector<std::vector<double>>& training,
                              const Options& options) {
-  OBS_SPAN("pca.fit");
   check_training(training, options.components, "Eigenmemory::fit");
   const std::size_t l = training.front().size();
   const std::size_t n = training.size();
@@ -287,7 +285,6 @@ void orthonormalize_columns(std::vector<std::vector<double>>& cols) {
 Eigenmemory Eigenmemory::fit_topk(
     const std::vector<std::vector<double>>& training,
     const TopkOptions& options) {
-  OBS_SPAN("pca.fit_topk");
   check_training(training, options.components, "Eigenmemory::fit_topk");
   if (options.components == 0) {
     throw ConfigError("Eigenmemory::fit_topk: components must be > 0");
@@ -805,7 +802,6 @@ std::vector<double> Eigenmemory::project(const HeatMap& map) const {
 
 std::vector<std::vector<double>> Eigenmemory::project_all(
     const std::vector<std::vector<double>>& maps) const {
-  OBS_SPAN("pca.project_all");
   std::vector<std::vector<double>> out(maps.size());
   parallel_for(maps.size(), 0, [&](std::size_t i0, std::size_t i1) {
     std::vector<double> phi;

@@ -91,11 +91,15 @@ ModelSnapshot train_snapshot(const Rows& train_rows, const Rows& calib_rows,
   if (calib_rows.empty()) {
     throw ConfigError("train_snapshot: empty calibration set");
   }
+  PROF_ZONE(kTrain);
   Eigenmemory pca = fit_eigenmemory(train_rows, options.pca);
   Gmm gmm = Gmm::fit(pca.project_all(train_rows), options.gmm);
   // One scoring pass keeps the per-sample scores: they seed θ_p and the
   // model-health training baseline alike.
-  ThresholdCalibrator calibrator(log10_scores(pca, gmm, calib_rows));
+  ThresholdCalibrator calibrator = [&] {
+    PROF_ZONE(kTrainCalibrate);
+    return ThresholdCalibrator(log10_scores(pca, gmm, calib_rows));
+  }();
   const Threshold primary = calibrator.at(options.primary_p);
   return ModelSnapshot{.pca = std::move(pca),
                        .gmm = std::move(gmm),

@@ -126,7 +126,7 @@ std::string spans_json_lines(const SpanBuffer& buffer) {
   std::ostringstream os;
   for (const auto& s : buffer.snapshot()) {
     os << "{\"id\":" << s.id << ",\"parent\":" << s.parent_id << ",\"name\":\""
-       << json_escape(s.name) << "\",\"thread_shard\":" << s.thread_shard
+       << s.name() << "\",\"thread_shard\":" << s.thread_shard
        << ",\"start_ns\":" << s.start_ns
        << ",\"duration_ns\":" << s.duration_ns << "}\n";
   }

@@ -116,14 +116,21 @@ std::vector<char> g_snapshot[2];
 std::atomic<std::size_t> g_snapshot_len[2] = {0, 0};
 std::atomic<int> g_published{-1};
 
+/// Signals that write the crash snapshot: faults, aborts and termination
+/// requests (an operator's `kill`). Arming keeps each one's previous
+/// disposition, by signal number, for the handler to chain to and for
+/// disarm to restore.
+constexpr int kCrashSignals[] = {SIGSEGV, SIGABRT, SIGTERM};
+struct sigaction g_old_actions[NSIG];
+
 // Newest heat-map row handed over by the scoring path (leaf lock).
 std::mutex g_row_mu;
 std::vector<double> g_row;
 std::uint64_t g_row_interval = 0;
 
 /// Write the published prerendered snapshot to the crash file opened at
-/// arm time, fsync, then re-raise with the default disposition so the
-/// process still dies with the original signal.
+/// arm time, fsync, then restore the previous disposition and re-raise, so
+/// the signal ends the process (or reaches the handler it had) as before.
 void crash_handler(int sig) {
   static std::atomic<bool> entered{false};
   if (!entered.exchange(true, std::memory_order_relaxed)) {
@@ -135,7 +142,7 @@ void crash_handler(int sig) {
       ::fsync(fd);
     }
   }
-  ::signal(sig, SIG_DFL);
+  ::sigaction(sig, &g_old_actions[sig], nullptr);
   ::raise(sig);
 }
 
@@ -165,8 +172,6 @@ struct IncidentStore::Armed {
   std::vector<double> row;   ///< Copy of g_row for the render in progress.
   std::uint64_t row_interval = 0;
   bool handlers = false;
-  struct sigaction old_segv {};
-  struct sigaction old_abrt {};
   std::mutex stop_mu;
   std::condition_variable stop_cv;
   bool stop = false;
@@ -349,8 +354,9 @@ bool IncidentStore::arm(std::shared_ptr<const DecisionJournal> journal,
     std::memset(&sa, 0, sizeof sa);
     sa.sa_handler = crash_handler;
     sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGSEGV, &sa, &armed_->old_segv);
-    ::sigaction(SIGABRT, &sa, &armed_->old_abrt);
+    for (const int sig : kCrashSignals) {
+      ::sigaction(sig, &sa, &g_old_actions[sig]);
+    }
     armed_->handlers = true;
   }
   armed_->refresher = std::thread([this, a = armed_.get()] {
@@ -392,8 +398,9 @@ void IncidentStore::disarm() {
   std::lock_guard<std::mutex> lock(mu_);
   detail::state_row_wanted.store(false, std::memory_order_relaxed);
   if (a->handlers) {
-    ::sigaction(SIGSEGV, &a->old_segv, nullptr);
-    ::sigaction(SIGABRT, &a->old_abrt, nullptr);
+    for (const int sig : kCrashSignals) {
+      ::sigaction(sig, &g_old_actions[sig], nullptr);
+    }
   }
   g_published.store(-1, std::memory_order_relaxed);
   const int fd = g_crash_fd.exchange(-1, std::memory_order_relaxed);

@@ -145,8 +145,9 @@ class IncidentStore {
   /// bundle (`mhm-<stamp>-signal-<pid>.mhmi`) now, prerender a process-
   /// state snapshot into a preallocated double buffer, start a thread that
   /// re-renders it every 250 ms, and (with `handle_signals`) install
-  /// SIGSEGV/SIGABRT handlers that write the published snapshot to the
-  /// open file — write + fsync, no allocation, no lock — and re-raise.
+  /// SIGSEGV/SIGABRT/SIGTERM handlers that write the published snapshot to
+  /// the open file — write + fsync, no allocation, no lock — then restore
+  /// the previous disposition and re-raise.
   /// `journal` (may be null) feeds the journal-tail section. Returns
   /// false when a store is already armed, the crash file cannot be
   /// created, or the obs layer is compiled out. An unarmed store runs no

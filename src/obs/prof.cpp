@@ -14,6 +14,9 @@ const char* stage_name(Stage stage) {
     case Stage::kTrainCovariance: return "train.covariance";
     case Stage::kTrainEigensolve: return "train.eigensolve";
     case Stage::kTrainEm: return "train.em";
+    case Stage::kTrain: return "train";
+    case Stage::kTrainCollect: return "train.collect";
+    case Stage::kTrainCalibrate: return "train.calibrate";
   }
   return "unknown";
 }
@@ -37,6 +40,7 @@ const char* stage_name(Stage stage) {
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 #if defined(__linux__) && __has_include(<linux/perf_event.h>)
 #include <linux/perf_event.h>
@@ -82,8 +86,10 @@ std::atomic<bool>& prof_flag() {
 }
 
 // ---------------------------------------------------------------------------
-// Tick source: raw TSC on x86-64 (≈8 ns a read, calibrated against
-// steady_clock at export time), steady_clock elsewhere.
+// Tick source: raw TSC on x86-64 (≈8 ns a read), steady_clock elsewhere.
+// Ticks become nanoseconds on one scale per process: the TSC rate is
+// measured once against steady_clock, so stage totals and span records
+// agree, and a closing zone converts its tick pair without a clock read.
 
 std::uint64_t monotonic_ns() {
   return static_cast<std::uint64_t>(
@@ -100,7 +106,6 @@ inline std::uint64_t read_ticks() {
 #endif
 }
 
-#if defined(__x86_64__)
 struct TickBase {
   std::uint64_t ticks0;
   std::uint64_t ns0;
@@ -109,23 +114,42 @@ const TickBase& tick_base() {
   static const TickBase base{read_ticks(), monotonic_ns()};
   return base;
 }
-#endif
+// Anchored at static initialisation, so the one-time rate measurement
+// below usually finds its 1 ms baseline already elapsed.
+[[maybe_unused]] const TickBase& g_tick_base_at_startup = tick_base();
 
-/// ns per tick, from the elapsed (steady_clock, TSC) pair since the base
-/// anchor. Export-time only; the baseline is forced to ≥1 ms once so the
-/// very first export cannot divide a noise-sized interval.
+/// ns per tick (1 off x86), measured once per process from the elapsed
+/// (steady_clock, TSC) pair since the base anchor; the first caller waits
+/// until the baseline is ≥1 ms so the rate never comes from a noise-sized
+/// interval.
 double ns_per_tick() {
 #if defined(__x86_64__)
-  const TickBase& base = tick_base();
-  std::uint64_t ns = monotonic_ns();
-  while (ns - base.ns0 < 1000000) ns = monotonic_ns();
-  const std::uint64_t ticks = read_ticks();
-  if (ticks <= base.ticks0) return 1.0;
-  return static_cast<double>(ns - base.ns0) /
-         static_cast<double>(ticks - base.ticks0);
+  static const double rate = [] {
+    const TickBase& base = tick_base();
+    std::uint64_t ns = monotonic_ns();
+    while (ns - base.ns0 < 1000000) ns = monotonic_ns();
+    const std::uint64_t ticks = read_ticks();
+    if (ticks <= base.ticks0) return 1.0;
+    return static_cast<double>(ns - base.ns0) /
+           static_cast<double>(ticks - base.ticks0);
+  }();
+  return rate;
 #else
   return 1.0;
 #endif
+}
+
+std::uint64_t ticks_to_ns(std::uint64_t ticks) {
+  return static_cast<std::uint64_t>(static_cast<double>(ticks) *
+                                    ns_per_tick());
+}
+
+/// A tick reading as monotonic (steady_clock timeline) nanoseconds.
+std::uint64_t tick_time_ns(std::uint64_t ticks) {
+  const TickBase& base = tick_base();
+  const auto since = static_cast<std::int64_t>(ticks - base.ticks0);
+  return base.ns0 + static_cast<std::uint64_t>(static_cast<std::int64_t>(
+                        static_cast<double>(since) * ns_per_tick()));
 }
 
 // ---------------------------------------------------------------------------
@@ -215,10 +239,14 @@ Source probe_source() {
 }
 
 /// Per-thread zone state: nesting depth and decimation counter per stage,
-/// plus the thread's (lazily opened) perf group.
+/// the innermost open span and the thread's block of span ids, plus the
+/// thread's (lazily opened) perf group.
 struct ThreadProfState {
   std::uint32_t depth[kStageCount] = {};
   std::uint64_t entry_count[kStageCount] = {};
+  std::uint64_t open_span = 0;   ///< Span id of the innermost outer zone.
+  std::uint64_t next_span = 0;   ///< Next unused id of the block.
+  std::uint64_t span_limit = 0;  ///< One past the block's last id.
   int perf_fd = -2;  ///< -2 = not yet opened, -1 = unavailable.
 
   ~ThreadProfState() {
@@ -228,6 +256,12 @@ struct ThreadProfState {
   }
 };
 thread_local ThreadProfState tl_prof;
+
+/// Span ids are handed to threads in blocks, so a zone entry touches no
+/// shared counter: ids stay process-unique, 1-based and increasing along
+/// each thread.
+constexpr std::uint64_t kSpanIdBlock = 1024;
+std::atomic<std::uint64_t> g_next_span_block{1};
 
 int thread_group_fd() {
   ThreadProfState& st = tl_prof;
@@ -274,6 +308,26 @@ ThreadStack* claim_stack() {
     tl_stack_slot = idx < kSamplerSlots ? static_cast<std::int32_t>(idx) : -1;
   }
   return tl_stack_slot >= 0 ? &g_thread_stacks[tl_stack_slot] : nullptr;
+}
+
+/// Push a zone's frame onto the thread's shadow stack. False when the
+/// sampler is inactive or the stack is full — the zone then skips the pop.
+bool sampler_push_frame(const char* name) {
+  if (!g_sampler_active.load(std::memory_order_relaxed)) return false;
+  ThreadStack* st = claim_stack();
+  if (st == nullptr) return false;
+  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
+  if (depth >= kMaxFrames) return false;
+  st->frames[depth].store(name, std::memory_order_relaxed);
+  st->depth.store(depth + 1, std::memory_order_release);
+  return true;
+}
+
+void sampler_pop_frame() {
+  ThreadStack* st = claim_stack();
+  if (st == nullptr) return;
+  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
+  if (depth > 0) st->depth.store(depth - 1, std::memory_order_release);
 }
 
 struct SamplerState {
@@ -350,6 +404,12 @@ bool is_attributed_stage(std::size_t s) {
          stage == Stage::kShardScatter;
 }
 
+/// `analyze` and `train` wrap the other stages rather than name work.
+bool is_umbrella(std::size_t s) {
+  const auto stage = static_cast<Stage>(s);
+  return stage == Stage::kAnalyze || stage == Stage::kTrain;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -362,6 +422,14 @@ ZoneScope::ZoneScope(Stage stage) {
   stage_ = static_cast<std::uint8_t>(s);
   if (st.depth[s]++ != 0) return;  // Nested same-stage zone: depth only.
   outer_ = true;
+  if (st.next_span == st.span_limit) {
+    st.next_span =
+        g_next_span_block.fetch_add(kSpanIdBlock, std::memory_order_relaxed);
+    st.span_limit = st.next_span + kSpanIdBlock;
+  }
+  span_id_ = st.next_span++;
+  parent_span_id_ = st.open_span;
+  st.open_span = span_id_;
   pushed_ = sampler_push_frame(stage_name(stage));
   const std::uint64_t n = st.entry_count[s]++;
   if (sample_this_entry(n)) {
@@ -379,10 +447,13 @@ ZoneScope::ZoneScope(Stage stage) {
 ZoneScope::~ZoneScope() {
   if (stage_ == 0xff) return;
   const std::size_t s = stage_;
-  --tl_prof.depth[s];
+  ThreadProfState& st = tl_prof;
+  --st.depth[s];
   if (!outer_) return;
   const std::uint64_t dt = read_ticks() - start_ticks_;
-  StageShard& shard = g_stages[s][thread_shard()];
+  st.open_span = parent_span_id_;
+  const std::size_t shard_slot = thread_shard();
+  StageShard& shard = g_stages[s][shard_slot];
   shard.entries.fetch_add(1, std::memory_order_relaxed);
   shard.ticks.fetch_add(dt, std::memory_order_relaxed);
   if (sampled_) {
@@ -407,6 +478,12 @@ ZoneScope::~ZoneScope() {
     }
   }
   if (pushed_) sampler_pop_frame();
+  SpanBuffer::instance().record({.id = span_id_,
+                                 .parent_id = parent_span_id_,
+                                 .stage = static_cast<Stage>(s),
+                                 .thread_shard = shard_slot,
+                                 .start_ns = tick_time_ns(start_ticks_),
+                                 .duration_ns = ticks_to_ns(dt)});
 }
 
 // ---------------------------------------------------------------------------
@@ -437,25 +514,7 @@ std::uint64_t thread_work_counter() {
 }
 
 // ---------------------------------------------------------------------------
-// Sampler lifecycle and hooks.
-
-bool sampler_push_frame(const char* name) {
-  if (!g_sampler_active.load(std::memory_order_relaxed)) return false;
-  ThreadStack* st = claim_stack();
-  if (st == nullptr) return false;
-  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
-  if (depth >= kMaxFrames) return false;
-  st->frames[depth].store(name, std::memory_order_relaxed);
-  st->depth.store(depth + 1, std::memory_order_release);
-  return true;
-}
-
-void sampler_pop_frame() {
-  ThreadStack* st = claim_stack();
-  if (st == nullptr) return;
-  const std::uint32_t depth = st->depth.load(std::memory_order_relaxed);
-  if (depth > 0) st->depth.store(depth - 1, std::memory_order_release);
-}
+// Sampler lifecycle.
 
 void start_sampler(double hz) {
   if (!enabled()) return;
@@ -490,7 +549,6 @@ std::uint64_t sampler_samples() {
 // Export.
 
 std::vector<StageSnapshot> snapshot_stages() {
-  const double npt = ns_per_tick();
   std::vector<StageSnapshot> out(kStageCount);
   for (std::size_t s = 0; s < kStageCount; ++s) {
     StageSnapshot& snap = out[s];
@@ -510,8 +568,7 @@ std::vector<StageSnapshot> snapshot_stages() {
       snap.counter_samples += shard.samples.load(std::memory_order_relaxed);
       snap.cpu_ns += shard.cpu_ns.load(std::memory_order_relaxed);
     }
-    snap.wall_ns =
-        static_cast<std::uint64_t>(static_cast<double>(ticks) * npt);
+    snap.wall_ns = ticks_to_ns(ticks);
   }
   return out;
 }
@@ -527,8 +584,7 @@ std::string profile_json() {
   std::uint64_t top_scoring_wall = 0;
   for (std::size_t s = 0; s < kStageCount; ++s) {
     if (is_attributed_stage(s)) attributed_wall += stages[s].wall_ns;
-    if (s != static_cast<std::size_t>(Stage::kAnalyze) &&
-        stages[s].wall_ns > top_wall) {
+    if (!is_umbrella(s) && stages[s].wall_ns > top_wall) {
       top_wall = stages[s].wall_ns;
       top_stage = stages[s].name;
     }
@@ -615,14 +671,12 @@ std::string collapsed_stacks() {
     if (snap.wall_ns == 0) continue;
     const std::uint64_t weight = std::max<std::uint64_t>(
         1, snap.wall_ns / 1000);
-    if (s == static_cast<std::size_t>(Stage::kAnalyze)) {
-      append_fmt(out, "analyze %llu\n",
-                 static_cast<unsigned long long>(weight));
-    } else if (is_attributed_stage(s)) {
-      append_fmt(out, "analyze;%s %llu\n", snap.name,
+    if (is_umbrella(s)) {
+      append_fmt(out, "%s %llu\n", snap.name,
                  static_cast<unsigned long long>(weight));
     } else {
-      append_fmt(out, "train;%s %llu\n", snap.name,
+      append_fmt(out, "%s;%s %llu\n",
+                 is_attributed_stage(s) ? "analyze" : "train", snap.name,
                  static_cast<unsigned long long>(weight));
     }
   }

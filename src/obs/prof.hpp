@@ -11,13 +11,17 @@ namespace mhm::obs::prof {
 
 /// Continuous profiling: stage-attributed wall time and hardware counters.
 ///
-/// `PROF_ZONE(kScoreProject)` opens a stage zone for the enclosing scope.
-/// Zone entry/exit reads the TSC (steady_clock off x86) and folds the delta
-/// into per-stage sharded accumulators — `kShards` cache-line-padded atomic
-/// slots indexed by `obs::thread_shard()`, folded in slot order 0..15 at
-/// export, the metrics registry's determinism discipline. Nothing a zone
+/// `PROF_ZONE(kScoreProject)` opens a stage zone for the enclosing scope; it
+/// is the one scoped instrumentation primitive, and every view below is
+/// derived from it. Zone entry/exit reads the TSC (steady_clock off x86)
+/// and folds the delta into per-stage sharded accumulators — `kShards`
+/// cache-line-padded atomic slots indexed by `obs::thread_shard()`, folded
+/// in slot order 0..15 at export, the metrics registry's determinism
+/// discipline. Nothing a zone
 /// records ever feeds back into scoring, so the bit-identity contract is
-/// untouched.
+/// untouched. The same tick pair closes one span record into the
+/// `obs::SpanBuffer` ring (obs/trace) behind `/trace`: outermost zones
+/// only, parented on the innermost zone still open on the thread.
 ///
 /// Hardware counters (cycles / instructions / cache misses / branch misses)
 /// come from a lazily-opened per-thread `perf_event_open` group, read on a
@@ -31,18 +35,21 @@ namespace mhm::obs::prof {
 ///
 /// A low-rate sampling profiler (`start_sampler`, default ~97 Hz — prime,
 /// so it never locks onto a periodic workload) walks per-thread shadow
-/// stacks pushed by both OBS_SPAN spans and PROF_ZONE zones and aggregates
-/// collapsed stacks ("a;b;c <count>") for flamegraph.pl / speedscope.
+/// stacks pushed by the zones and aggregates collapsed stacks
+/// ("a;b;c <count>") for flamegraph.pl / speedscope.
 ///
 /// Everything compiles out under MHM_OBS_DISABLE and obeys the runtime
 /// kill switches: `MHM_OBS=0` disables zones with the rest of the layer,
-/// `MHM_PROF=0` / `set_prof_enabled(false)` disables profiling alone
-/// (the bench overhead leg toggles this).
+/// `MHM_PROF=0` / `set_prof_enabled(false)` disables the zones alone —
+/// accumulators, span ring and sampler frames alike (the bench overhead
+/// leg toggles this).
 
 /// Instrumented pipeline stages. Scoring stages are `score.*`, the shard
-/// batch plumbing `shard.*`, training `train.*`; `analyze` is the umbrella
-/// around one analyzed interval (serial session or whole shard batch) that
-/// the attribution fraction is measured against.
+/// batch plumbing `shard.*`, training `train.*`. The umbrellas are
+/// `analyze`, around one analyzed interval (serial session or whole shard
+/// batch) that the attribution fraction is measured against, and `train`,
+/// around one model build. New stages append, so stage-indexed arrays
+/// keep their layout.
 enum class Stage : std::uint8_t {
   kAnalyze = 0,       ///< One Session::analyze / analyze_shard call.
   kScoreProject,      ///< PCA projection (serial matvec or batch tiles).
@@ -54,8 +61,11 @@ enum class Stage : std::uint8_t {
   kTrainCovariance,   ///< Covariance / Gram moment matrix assembly.
   kTrainEigensolve,   ///< Symmetric eigensolve of the moment matrix.
   kTrainEm,           ///< Full GMM EM fit.
+  kTrain,             ///< One train_snapshot call (umbrella).
+  kTrainCollect,      ///< collect_normal_trace: simulated profiling runs.
+  kTrainCalibrate,    ///< train_snapshot's calibration scoring pass.
 };
-inline constexpr std::size_t kStageCount = 10;
+inline constexpr std::size_t kStageCount = 13;
 
 /// Stable export name of a stage ("analyze", "score.project", ...).
 const char* stage_name(Stage stage);
@@ -93,17 +103,15 @@ inline void start_sampler(double = 97.0) {}
 inline void stop_sampler() {}
 inline std::uint64_t sampler_samples() { return 0; }
 inline std::uint64_t thread_work_counter() { return 0; }
-inline bool sampler_push_frame(const char*) { return false; }
-inline void sampler_pop_frame() {}
 
 #else
 
 /// RAII stage zone. Cheap enough for the serial 10 µs analyze path: one
-/// TSC read pair plus two relaxed fetch_adds on the thread's shard slot
-/// (hardware counters ride only decimated entries). Nested zones of the
-/// same stage on the same thread record only at the outermost level, so
-/// `analyze` inside `analyze` (the shard serial fallback) never
-/// double-counts.
+/// TSC read pair, two relaxed fetch_adds on the thread's shard slot, a span
+/// id and one ring write (hardware counters ride only decimated entries).
+/// Nested zones of the same stage on the same thread record only at the
+/// outermost level, so `analyze` inside `analyze` (the shard serial
+/// fallback) never double-counts.
 class ZoneScope {
  public:
   explicit ZoneScope(Stage stage);
@@ -117,6 +125,8 @@ class ZoneScope {
   bool outer_ = false;         ///< Outermost zone of its stage: records.
   bool sampled_ = false;       ///< Hardware counters read on this entry.
   bool pushed_ = false;        ///< Frame pushed onto the sampler stack.
+  std::uint64_t span_id_ = 0;
+  std::uint64_t parent_span_id_ = 0;
   std::uint64_t start_ticks_ = 0;
   std::uint64_t start_counters_[4] = {0, 0, 0, 0};
   std::uint64_t start_cpu_ns_ = 0;
@@ -138,14 +148,15 @@ const char* counter_source();
 std::vector<StageSnapshot> snapshot_stages();
 
 /// The /profile?format=json document: per-stage wall/IPC/miss rates, the
-/// top stage by wall time (umbrella excluded), the attributed fraction of
+/// top stage by wall time (umbrellas excluded), the attributed fraction of
 /// analyze wall time, and the sampler state.
 std::string profile_json();
 
 /// Collapsed stacks ("frame;frame;frame <count>"), flamegraph.pl /
 /// speedscope "collapsed" flavour. Sampler aggregation when it has
-/// samples; otherwise stage wall times rendered as parent-chained stacks
-/// weighted in microseconds, so the format is always loadable.
+/// samples; otherwise stage wall times rendered as stacks chained under
+/// their umbrella (`analyze;score.gmm`, `train;train.em`) weighted in
+/// microseconds, so the format is always loadable.
 std::string collapsed_stacks();
 
 /// The `== profile ==` section body of .mhmi bundles.
@@ -170,22 +181,14 @@ std::uint64_t sampler_samples();
 /// CLOCK_THREAD_CPUTIME_ID nanoseconds — units follow counter_source().
 std::uint64_t thread_work_counter();
 
-/// Sampler shadow-stack hooks (internal: SpanScope/ZoneScope call these).
-/// `name` must outlive the process (string literals). Returns false when
-/// the sampler is inactive or the stack is full — the caller then skips
-/// the matching pop.
-bool sampler_push_frame(const char* name);
-void sampler_pop_frame();
-
 #endif  // MHM_OBS_DISABLED
 
-#define MHM_OBS_CONCAT_INNER_PROF(a, b) a##b
-#define MHM_OBS_CONCAT_PROF(a, b) MHM_OBS_CONCAT_INNER_PROF(a, b)
+#define MHM_OBS_CONCAT_INNER(a, b) a##b
+#define MHM_OBS_CONCAT(a, b) MHM_OBS_CONCAT_INNER(a, b)
 
 /// Open a stage zone for the rest of the enclosing scope.
-#define PROF_ZONE(stage)                                           \
-  ::mhm::obs::prof::ZoneScope MHM_OBS_CONCAT_PROF(mhm_prof_zone_,  \
-                                                  __LINE__)(       \
+#define PROF_ZONE(stage)                                               \
+  ::mhm::obs::prof::ZoneScope MHM_OBS_CONCAT(mhm_prof_zone_, __LINE__)( \
       ::mhm::obs::prof::Stage::stage)
 
 }  // namespace mhm::obs::prof

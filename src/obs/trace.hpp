@@ -5,30 +5,29 @@
 #include <mutex>
 #include <vector>
 
-#include "obs/obs.hpp"
+#include "obs/prof.hpp"
 
 namespace mhm::obs {
 
-/// Scoped tracing spans.
+/// The span ring behind `/trace`, `mhm_tool metrics --spans` and the
+/// `== trace ==` section of .mhmi bundles.
 ///
-/// `OBS_SPAN("pca.fit")` opens a span for the enclosing scope: on entry it
-/// notes the monotonic clock and the innermost open span of the calling
-/// thread (the parent); on exit it appends a SpanRecord to the process-wide
-/// bounded ring buffer. Span names must be string literals (or otherwise
-/// outlive the buffer) — records store the pointer, not a copy, so a closed
-/// span costs one mutex'd ring write and zero allocations.
-///
-/// With observability disabled (MHM_OBS=0 / set_enabled(false)) the scope
-/// constructor is a single relaxed load and nothing is recorded.
+/// Spans are written by `PROF_ZONE` (obs/prof): an outermost zone appends
+/// one SpanRecord on exit, parented on the innermost zone still open on
+/// the calling thread. A record names its stage, not a string, so every
+/// name the ring can render is a `prof::stage_name()` literal. A ring write
+/// is one mutex'd slot copy and allocates nothing.
 
 /// One completed span.
 struct SpanRecord {
   std::uint64_t id = 0;         ///< Process-unique, 1-based.
   std::uint64_t parent_id = 0;  ///< 0 = root span of its thread.
-  const char* name = "";        ///< Borrowed; literals only.
+  prof::Stage stage = prof::Stage::kAnalyze;
   std::size_t thread_shard = 0; ///< obs::thread_shard() of the recording thread.
   std::uint64_t start_ns = 0;   ///< Monotonic (steady_clock) nanoseconds.
   std::uint64_t duration_ns = 0;
+
+  const char* name() const { return prof::stage_name(stage); }
 };
 
 /// Process-wide bounded ring of completed spans; oldest entries are
@@ -50,7 +49,7 @@ class SpanBuffer {
   void set_capacity(std::size_t capacity);
   void clear();
 
-  /// Internal: append one completed record.
+  /// Append one completed record (closing zones; tests inject their own).
   void record(const SpanRecord& rec);
 
  private:
@@ -62,32 +61,5 @@ class SpanBuffer {
   std::size_t size_ = 0;        ///< Valid records in the ring.
   std::uint64_t total_ = 0;
 };
-
-/// RAII scope that records one span into SpanBuffer::instance().
-class SpanScope {
- public:
-  explicit SpanScope(const char* name);
-  ~SpanScope();
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  /// Id of this span (0 when observability is disabled).
-  std::uint64_t id() const { return id_; }
-
- private:
-  const char* name_;
-  std::uint64_t id_ = 0;
-  std::uint64_t parent_ = 0;
-  std::uint64_t start_ns_ = 0;
-  bool pushed_ = false;  ///< Frame pushed onto the sampling-profiler stack.
-};
-
-#define MHM_OBS_CONCAT_INNER(a, b) a##b
-#define MHM_OBS_CONCAT(a, b) MHM_OBS_CONCAT_INNER(a, b)
-
-/// Open a span for the rest of the enclosing scope.
-#define OBS_SPAN(name) \
-  ::mhm::obs::SpanScope MHM_OBS_CONCAT(mhm_obs_span_, __LINE__)(name)
 
 }  // namespace mhm::obs

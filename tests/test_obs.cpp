@@ -2,6 +2,7 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
+#include "obs/prof.hpp"
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -18,11 +19,15 @@
 namespace mhm {
 namespace {
 
-/// Restores the kill switch on scope exit so one test cannot leak a
-/// disabled obs layer into the next.
+/// Restores the kill switches on scope exit so one test cannot leak a
+/// disabled obs layer (or profiler) into the next.
 struct EnabledGuard {
   bool saved = obs::enabled();
-  ~EnabledGuard() { obs::set_enabled(saved); }
+  bool prof_saved = obs::prof::prof_enabled();
+  ~EnabledGuard() {
+    obs::prof::set_prof_enabled(prof_saved);
+    obs::set_enabled(saved);
+  }
 };
 
 TEST(Registry, CounterFoldIsExactAcrossThreadCounts) {
@@ -106,27 +111,24 @@ TEST(Registry, SnapshotIsLexicographicallyOrdered) {
 TEST(Spans, NestingRecordsParentIds) {
   EnabledGuard guard;
   obs::set_enabled(true);
+  obs::prof::set_prof_enabled(true);
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
   obs::SpanBuffer::instance().clear();
-  std::uint64_t outer_id = 0;
-  std::uint64_t inner_id = 0;
   {
-    obs::SpanScope outer("test.outer");
-    outer_id = outer.id();
+    PROF_ZONE(kTrain);
     {
-      obs::SpanScope inner("test.inner");
-      inner_id = inner.id();
+      PROF_ZONE(kTrainEm);
     }
   }
-  ASSERT_NE(outer_id, 0u);
-  ASSERT_NE(inner_id, 0u);
   const auto spans = obs::SpanBuffer::instance().snapshot();
   // Children close before parents, so the inner span is recorded first.
   ASSERT_EQ(spans.size(), 2u);
-  EXPECT_STREQ(spans[0].name, "test.inner");
-  EXPECT_EQ(spans[0].id, inner_id);
-  EXPECT_EQ(spans[0].parent_id, outer_id);
-  EXPECT_STREQ(spans[1].name, "test.outer");
+  EXPECT_STREQ(spans[0].name(), "train.em");
+  EXPECT_NE(spans[0].id, 0u);
+  EXPECT_NE(spans[1].id, 0u);
+  EXPECT_NE(spans[0].id, spans[1].id);
+  EXPECT_EQ(spans[0].parent_id, spans[1].id);
+  EXPECT_STREQ(spans[1].name(), "train");
   EXPECT_EQ(spans[1].parent_id, 0u);
   EXPECT_GE(spans[1].duration_ns, spans[0].duration_ns);
 }
@@ -134,13 +136,14 @@ TEST(Spans, NestingRecordsParentIds) {
 TEST(Spans, RingWrapsAroundKeepingNewest) {
   EnabledGuard guard;
   obs::set_enabled(true);
+  obs::prof::set_prof_enabled(true);
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
   obs::SpanBuffer& buffer = obs::SpanBuffer::instance();
   const std::size_t saved_capacity = buffer.capacity();
   buffer.set_capacity(8);
   const std::uint64_t before = buffer.total_recorded();
   for (int i = 0; i < 20; ++i) {
-    OBS_SPAN("test.wrap");
+    PROF_ZONE(kAnalyze);
   }
   const auto spans = buffer.snapshot();
   EXPECT_EQ(spans.size(), 8u);
@@ -215,11 +218,15 @@ TEST(KillSwitch, DisabledLayerRecordsNothing) {
   EXPECT_EQ(h.count(), 0u);
 
   obs::SpanBuffer::instance().clear();
+  obs::prof::reset();
   {
-    obs::SpanScope span("test.disabled.span");
-    EXPECT_EQ(span.id(), 0u);
+    PROF_ZONE(kAnalyze);
   }
   EXPECT_TRUE(obs::SpanBuffer::instance().snapshot().empty());
+  EXPECT_EQ(obs::SpanBuffer::instance().total_recorded(), 0u);
+  for (const auto& stage : obs::prof::snapshot_stages()) {
+    EXPECT_EQ(stage.entries, 0u) << stage.name;
+  }
 
   obs::DecisionJournal journal(4);
   journal.append(obs::DecisionRecord{});

@@ -137,22 +137,30 @@ class JsonChecker {
 };
 
 /// Enables obs for the test body and restores the previous state after.
+/// Enables obs and the zones for the test body and restores both after.
 class EnabledGuard {
  public:
-  EnabledGuard() : was_(enabled()) { set_enabled(true); }
-  ~EnabledGuard() { set_enabled(was_); }
+  EnabledGuard() : was_(enabled()), prof_was_(prof::prof_enabled()) {
+    set_enabled(true);
+    prof::set_prof_enabled(true);
+  }
+  ~EnabledGuard() {
+    prof::set_prof_enabled(prof_was_);
+    set_enabled(was_);
+  }
 
  private:
   bool was_;
+  bool prof_was_;
 };
 
 SpanRecord make_span(std::uint64_t id, std::uint64_t parent,
                      std::uint64_t start_ns, std::uint64_t duration_ns,
-                     const char* name, std::size_t shard = 0) {
+                     prof::Stage stage, std::size_t shard = 0) {
   SpanRecord rec;
   rec.id = id;
   rec.parent_id = parent;
-  rec.name = name;
+  rec.stage = stage;
   rec.thread_shard = shard;
   rec.start_ns = start_ns;
   rec.duration_ns = duration_ns;
@@ -175,13 +183,14 @@ TEST(ChromeTrace, CompleteEventsCarryMicrosecondTimes) {
   buf.clear();
   // Parent opens at 10µs for 5µs; the child nests inside it. The exporter
   // rebases on the earliest start, so the parent lands at ts=0.
-  buf.record(make_span(1, 0, 10'000, 5'000, "parent"));
-  buf.record(make_span(2, 1, 11'500, 1'000, "child"));
+  buf.record(make_span(1, 0, 10'000, 5'000, prof::Stage::kAnalyze));
+  buf.record(make_span(2, 1, 11'500, 1'000, prof::Stage::kScoreGmm));
 
   const std::string json = chrome_trace_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"parent\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"analyze\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"score.gmm\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\":0.000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\":5.000"), std::string::npos);
   // Child: 1.5µs after the epoch, 1µs long, nested under span id 1.
@@ -199,10 +208,8 @@ TEST(ChromeTrace, RealSpansNestByParentId) {
   SpanBuffer& buf = SpanBuffer::instance();
   buf.clear();
   {
-    SpanScope outer("outer_scope");
-    SpanScope inner("inner_scope");
-    (void)outer;
-    (void)inner;
+    PROF_ZONE(kAnalyze);
+    PROF_ZONE(kScoreProject);
   }
   const std::string json = chrome_trace_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
@@ -210,6 +217,8 @@ TEST(ChromeTrace, RealSpansNestByParentId) {
   ASSERT_EQ(records.size(), 2u);
   // The ring holds [inner, outer] completion order; the inner span must
   // point at the outer one.
+  EXPECT_STREQ(records[0].name(), "score.project");
+  EXPECT_STREQ(records[1].name(), "analyze");
   EXPECT_EQ(records[0].parent_id, records[1].id);
   std::ostringstream want;
   want << "\"args\":{\"id\":" << records[0].id << ",\"parent\":"
@@ -224,23 +233,17 @@ TEST(ChromeTrace, ConcurrentExportStaysValidAndNestsPerThread) {
   SpanBuffer& buf = SpanBuffer::instance();
   buf.clear();
 
-  // Four worker threads each emit known outer/inner span pairs while two
-  // exporter threads serialize the ring — every concurrently exported
+  // Four worker threads each emit analyze/score.project zone pairs while
+  // two exporter threads serialize the ring — every concurrently exported
   // document must already be well-formed, not just the final one.
   constexpr std::size_t kWorkers = 4;
   constexpr std::size_t kPairsPerWorker = 32;
-  static const char* kOuterNames[kWorkers] = {"w0.outer", "w1.outer",
-                                              "w2.outer", "w3.outer"};
-  static const char* kInnerNames[kWorkers] = {"w0.inner", "w1.inner",
-                                              "w2.inner", "w3.inner"};
   std::vector<std::thread> threads;
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([w] {
+    threads.emplace_back([] {
       for (std::size_t i = 0; i < kPairsPerWorker; ++i) {
-        SpanScope outer(kOuterNames[w]);
-        SpanScope inner(kInnerNames[w]);
-        (void)outer;
-        (void)inner;
+        PROF_ZONE(kAnalyze);
+        PROF_ZONE(kScoreProject);
       }
     });
   }
@@ -256,26 +259,25 @@ TEST(ChromeTrace, ConcurrentExportStaysValidAndNestsPerThread) {
 
   const std::string json = chrome_trace_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
-  for (std::size_t w = 0; w < kWorkers; ++w) {
-    EXPECT_NE(json.find(kInnerNames[w]), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"name\":\"analyze\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"score.project\""), std::string::npos);
 
-  // Parent linkage is per-thread: every wN.inner span must point at a
-  // wN.outer span of the same worker, never at another thread's span.
+  // Parent linkage is per-thread: every score.project span must point at
+  // an analyze span recorded on the same thread shard, never at another
+  // thread's span.
   const std::vector<SpanRecord> records = buf.snapshot();
   ASSERT_EQ(records.size(), kWorkers * kPairsPerWorker * 2);
   std::size_t inners = 0;
   for (const SpanRecord& rec : records) {
-    const std::string name = rec.name;
-    if (name.find(".inner") == std::string::npos) continue;
+    if (rec.stage != prof::Stage::kScoreProject) continue;
     ++inners;
-    ASSERT_NE(rec.parent_id, 0u) << name;
+    ASSERT_NE(rec.parent_id, 0u) << rec.id;
     const auto parent =
         std::find_if(records.begin(), records.end(),
                      [&](const SpanRecord& r) { return r.id == rec.parent_id; });
-    ASSERT_NE(parent, records.end()) << name;
-    EXPECT_EQ(std::string(parent->name),
-              name.substr(0, 2) + ".outer") << name;
+    ASSERT_NE(parent, records.end()) << rec.id;
+    EXPECT_STREQ(parent->name(), "analyze") << rec.id;
+    EXPECT_EQ(parent->thread_shard, rec.thread_shard) << rec.id;
   }
   EXPECT_EQ(inners, kWorkers * kPairsPerWorker);
   buf.clear();
@@ -427,10 +429,11 @@ TEST_F(MonitorServerTest, ModelServesModelHealthJson) {
 
 TEST_F(MonitorServerTest, TraceServesChromeTraceJson) {
   SpanBuffer::instance().clear();
-  SpanBuffer::instance().record(make_span(7, 0, 1'000, 2'000, "served_span"));
+  SpanBuffer::instance().record(
+      make_span(7, 0, 1'000, 2'000, prof::Stage::kTrainCalibrate));
   const std::string body = body_of(get_path(server_.port(), "/trace"));
   EXPECT_TRUE(JsonChecker(body).valid()) << body;
-  EXPECT_NE(body.find("\"served_span\""), std::string::npos);
+  EXPECT_NE(body.find("\"train.calibrate\""), std::string::npos);
   SpanBuffer::instance().clear();
 }
 

@@ -1,6 +1,7 @@
-// Continuous profiler: stage zone accumulation, nesting dedup, the counter
-// fallback, collapsed-stack shape, the sampling profiler, and the
-// determinism contract — toggling profiling must not change a verdict bit.
+// Continuous profiler: stage zone accumulation, nesting dedup, the span
+// ring and sampler frames a zone feeds, the counter fallback, collapsed-
+// stack shape, the sampling profiler, and the determinism contract —
+// toggling profiling must not change a verdict bit.
 
 #include "obs/prof.hpp"
 
@@ -15,6 +16,7 @@
 
 #include "attacks/attacks.hpp"
 #include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "pipeline/experiment.hpp"
 
 namespace mhm::obs::prof {
@@ -64,6 +66,9 @@ TEST(ProfStages, NamesAreStableExportIdentifiers) {
   EXPECT_STREQ(stage_name(Stage::kTrainCovariance), "train.covariance");
   EXPECT_STREQ(stage_name(Stage::kTrainEigensolve), "train.eigensolve");
   EXPECT_STREQ(stage_name(Stage::kTrainEm), "train.em");
+  EXPECT_STREQ(stage_name(Stage::kTrain), "train");
+  EXPECT_STREQ(stage_name(Stage::kTrainCollect), "train.collect");
+  EXPECT_STREQ(stage_name(Stage::kTrainCalibrate), "train.calibrate");
 }
 
 TEST(ProfZones, AccumulateEntriesAndWallTime) {
@@ -113,13 +118,56 @@ TEST(ProfZones, DisabledProfilingRecordsNothing) {
   if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
   ProfGuard guard;
   reset();
+  SpanBuffer::instance().clear();
   set_prof_enabled(false);
   {
     PROF_ZONE(kScoreGmm);
     spin();
   }
   EXPECT_EQ(stage_of(snapshot_stages(), "score.gmm").entries, 0u);
+  // MHM_PROF=0 silences the span ring with the accumulators.
+  EXPECT_TRUE(SpanBuffer::instance().snapshot().empty());
   set_prof_enabled(true);
+}
+
+TEST(ProfZones, OneZoneFeedsRingStagesAndSampler) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  ProfGuard guard;
+  reset();
+  SpanBuffer::instance().clear();
+  start_sampler(997.0);
+  {
+    PROF_ZONE(kAnalyze);
+    PROF_ZONE(kScoreProject);
+    // Stay inside both zones until the sampler has caught the nested stack.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (collapsed_stacks().find("analyze;score.project ") ==
+               std::string::npos &&
+           std::chrono::steady_clock::now() < deadline) {
+      spin(5'000);
+    }
+  }
+  stop_sampler();
+
+  // Span ring: the inner zone closes first and points at the outer one.
+  const std::vector<SpanRecord> spans = SpanBuffer::instance().snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_STREQ(spans[0].name(), "score.project");
+  EXPECT_STREQ(spans[1].name(), "analyze");
+  EXPECT_EQ(spans[0].parent_id, spans[1].id);
+  EXPECT_EQ(spans[1].parent_id, 0u);
+  // Stage profiler: one outermost entry each.
+  const auto stages = snapshot_stages();
+  EXPECT_EQ(stage_of(stages, "analyze").entries, 1u);
+  EXPECT_EQ(stage_of(stages, "score.project").entries, 1u);
+  // Sampler: the aggregated stacks, not the zone-derived fallback.
+  EXPECT_GT(sampler_samples(), 0u);
+  EXPECT_NE(collapsed_stacks().find("analyze;score.project "),
+            std::string::npos)
+      << collapsed_stacks();
+  reset();
+  SpanBuffer::instance().clear();
 }
 
 TEST(ProfZones, ConcurrentZonesFoldAcrossThreadShards) {
@@ -228,6 +276,43 @@ TEST(ProfExport, CollapsedStacksAreFlamegraphLoadable) {
   // The zone-derived fallback chains stages under their umbrella.
   EXPECT_NE(collapsed.find("analyze;score.project "), std::string::npos)
       << collapsed;
+  reset();
+}
+
+TEST(ProfExport, UmbrellasStayOutOfTopStageAndRootFallbackStacks) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  ProfGuard guard;
+  reset();
+  // Each umbrella outweighs its child by far, so a top_stage that counted
+  // umbrellas would name one of them.
+  {
+    PROF_ZONE(kTrain);
+    spin(2'000'000);
+    PROF_ZONE(kTrainEm);
+    spin(200'000);
+  }
+  {
+    PROF_ZONE(kAnalyze);
+    spin(2'000'000);
+    PROF_ZONE(kScoreGmm);
+    spin(200'000);
+  }
+  const std::string json = profile_json();
+  EXPECT_TRUE(json.find("\"top_stage\":\"train.em\"") != std::string::npos ||
+              json.find("\"top_stage\":\"score.gmm\"") != std::string::npos)
+      << json;
+
+  // The zone-derived fallback (no sampler samples after reset) roots each
+  // stage under its umbrella and each umbrella on its own.
+  const std::string collapsed = "\n" + collapsed_stacks();
+  EXPECT_NE(collapsed.find("\ntrain "), std::string::npos) << collapsed;
+  EXPECT_NE(collapsed.find("\ntrain;train.em "), std::string::npos)
+      << collapsed;
+  EXPECT_NE(collapsed.find("\nanalyze "), std::string::npos) << collapsed;
+  EXPECT_NE(collapsed.find("\nanalyze;score.gmm "), std::string::npos)
+      << collapsed;
+  EXPECT_EQ(collapsed.find("train;train "), std::string::npos) << collapsed;
+  EXPECT_EQ(collapsed.find("analyze;train"), std::string::npos) << collapsed;
   reset();
 }
 
