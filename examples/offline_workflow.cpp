@@ -102,9 +102,11 @@ int main() {
   attack.arm(system, 2 * kSecond);
 
   AlarmFilter filter(2, 3);
+  std::size_t intervals = 0;
   std::size_t confirmed_alarms = 0;
   bool forensics_printed = false;
-  system.set_interval_observer([&](const HeatMap& map) {
+  system.attach_sink([&](const HeatMap& map) {
+    ++intervals;
     const Verdict v = session.analyze(map);
     const bool raw_alarm = v.anomalous || spe.anomalous(map);
     if (filter.feed(raw_alarm)) {
@@ -128,7 +130,7 @@ int main() {
   system.run_for(4 * kSecond);
 
   std::printf("\nconfirmed (2-of-3 filtered) alarm intervals: %zu of %zu\n",
-              confirmed_alarms, system.trace().size());
+              confirmed_alarms, intervals);
   std::printf("artifacts kept in %s\n", work_dir.string().c_str());
   return 0;
 }

@@ -9,13 +9,11 @@ SimIntervalSource::SimIntervalSource(sim::System& system, SimTime duration)
     : system_(system),
       interval_(system.config().monitor.interval),
       remaining_(duration) {
-  system_.set_interval_observer(
+  system_.attach_sink(
       [this](const HeatMap& map) { pending_.push_back(map); });
 }
 
-SimIntervalSource::~SimIntervalSource() {
-  system_.set_interval_observer(nullptr);
-}
+SimIntervalSource::~SimIntervalSource() { system_.detach_sink(); }
 
 std::optional<SourceItem> SimIntervalSource::next() {
   // Advance interval-by-interval until a map lands. A trailing partial

@@ -11,11 +11,12 @@ namespace mhm::engine {
 /// simulation one monitoring interval at a time (chunked run_for — the
 /// scheduler's event loop makes chunked stepping bit-identical to one long
 /// run) until the Memometer completes a map or the budgeted duration is
-/// exhausted. The system keeps accumulating its own trace_, so callers can
-/// still take_trace() after draining the source.
+/// exhausted.
 ///
-/// Occupies the system's single interval-observer slot for its lifetime
-/// (restored to empty on destruction).
+/// The source is the system's one consumer for its lifetime (attaching
+/// throws ConfigError when the system already has one), so the system
+/// keeps no maps: each interval's map exists once, queued here until
+/// next() hands it out. Destruction restores the system's collector.
 class SimIntervalSource final : public IntervalSource {
  public:
   /// Will simulate up to `duration` from the system's current now().

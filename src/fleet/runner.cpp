@@ -71,8 +71,9 @@ FleetRunner::FleetRunner(FleetSpec spec,
         "geometry");
   }
 
-  // --- simulate one seeded system per archetype, freeze its trace ---
+  // --- simulate one seeded system per archetype, freeze its rows ---
   const std::size_t rows_needed = spec_.intervals + kMaxOffset;
+  std::vector<double> row;
   archetypes_.reserve(spec_.archetypes.size());
   for (std::size_t a = 0; a < spec_.archetypes.size(); ++a) {
     const ArchetypeSpec& as = spec_.archetypes[a];
@@ -86,26 +87,27 @@ FleetRunner::FleetRunner(FleetSpec spec,
       attack->arm(system, static_cast<SimTime>(as.trigger_interval) *
                               config.monitor.interval);
     }
-    system.run_for(static_cast<SimTime>(rows_needed + 1) *
-                   config.monitor.interval);
-    const HeatMapTrace trace = system.take_trace();
-    if (trace.size() < rows_needed) {
-      throw ConfigError("FleetRunner: archetype '" + as.name +
-                        "' produced too few intervals");
-    }
     Archetype arch;
     arch.name = as.name;
     arch.attacked = attack != nullptr;
     arch.row_count = rows_needed;
     arch.rows.resize(rows_needed * input_dim_);
-    std::vector<double> row;
-    for (std::size_t r = 0; r < rows_needed; ++r) {
-      trace[r].as_vector_into(row);
+    // Each map goes straight into its row; the system keeps none.
+    std::size_t filled = 0;
+    system.attach_sink([&](const HeatMap& map) {
+      if (filled == rows_needed) return;
+      map.as_vector_into(row);
       MHM_ASSERT(row.size() == input_dim_,
                  "FleetRunner: archetype map size mismatch");
       std::copy(row.begin(), row.end(),
                 arch.rows.begin() +
-                    static_cast<std::ptrdiff_t>(r * input_dim_));
+                    static_cast<std::ptrdiff_t>(filled++ * input_dim_));
+    });
+    system.run_for(static_cast<SimTime>(rows_needed + 1) *
+                   config.monitor.interval);
+    if (filled < rows_needed) {
+      throw ConfigError("FleetRunner: archetype '" + as.name +
+                        "' produced too few intervals");
     }
     archetypes_.push_back(std::move(arch));
   }
@@ -170,6 +172,11 @@ FleetRunner::FleetRunner(FleetSpec spec,
 }
 
 FleetRunner::~FleetRunner() = default;
+
+std::span<const double> FleetRunner::archetype_rows(std::size_t a) const {
+  MHM_ASSERT(a < archetypes_.size(), "FleetRunner: archetype out of range");
+  return archetypes_[a].rows;
+}
 
 void FleetRunner::pump_shard_round(std::size_t shard, std::uint64_t round) {
   ShardScratch& sc = *scratch_[shard];

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -65,6 +66,10 @@ class FleetRunner {
   /// The /fleet JSON body — bind to MonitorServer::set_fleet /
   /// IncidentStore::set_fleet (safe to call concurrently with run_rounds).
   std::string json() const { return aggregator_->json(); }
+
+  /// Archetype `a`'s frozen row store: its system's maps as doubles,
+  /// row-major, one cell count a row.
+  std::span<const double> archetype_rows(std::size_t a) const;
 
   /// Bench hook: false pumps and scores without touching the aggregator,
   /// isolating the aggregation overhead (the <2% obs contract leg measured

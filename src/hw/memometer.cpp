@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 
 namespace mhm::hw {
 
@@ -50,32 +51,35 @@ Memometer::Memometer(const MhmConfig& config, SimTime start_time,
 void Memometer::advance_to(SimTime now) {
   // Fire every interval boundary in (interval_start_, now].
   while (now >= interval_start_ + config_.interval) {
-    HeatMap& finished = units_[active_unit_];
-    finished.interval_index = interval_index_;
-    finished.interval_start = interval_start_;
-    ++intervals_completed_;
-    // Flush the deltas accumulated since the previous boundary; per-burst
-    // increments would put two atomics on every snooped burst.
-    MeterMetrics& m = meter_metrics();
-    m.intervals.add();
-    m.counted.add(counted_ - counted_flushed_);
-    m.filtered.add(filtered_out_ - filtered_flushed_);
-    m.clips.add(saturation_clips_ - clips_flushed_);
-    counted_flushed_ = counted_;
-    filtered_flushed_ = filtered_out_;
-    clips_flushed_ = saturation_clips_;
-
-    // Swap: the other unit becomes active while this one is analyzed.
     const int analysis_unit = active_unit_;
-    active_unit_ = 1 - active_unit_;
-    interval_start_ += config_.interval;
-    ++interval_index_;
-    units_[active_unit_].interval_start = interval_start_;
+    {
+      PROF_ZONE(kHwFlush);
+      HeatMap& finished = units_[analysis_unit];
+      finished.interval_index = interval_index_;
+      finished.interval_start = interval_start_;
+      ++intervals_completed_;
+      // Flush the deltas accumulated since the previous boundary; per-burst
+      // increments would put two atomics on every snooped burst.
+      MeterMetrics& m = meter_metrics();
+      m.intervals.add();
+      m.counted.add(counted_ - counted_flushed_);
+      m.filtered.add(filtered_out_ - filtered_flushed_);
+      m.clips.add(saturation_clips_ - clips_flushed_);
+      counted_flushed_ = counted_;
+      filtered_flushed_ = filtered_out_;
+      clips_flushed_ = saturation_clips_;
 
+      // Swap: the other unit, whose map was handed off at the previous
+      // boundary, is cleared and accumulates while this one is analyzed.
+      active_unit_ = 1 - active_unit_;
+      interval_start_ += config_.interval;
+      ++interval_index_;
+      units_[active_unit_].reset();
+      units_[active_unit_].interval_start = interval_start_;
+    }
+    // The hand-off stays outside the zone: a consumer's own work (a whole
+    // analysis, for a push consumer) is not the Memometer's.
     if (on_ready_) on_ready_(units_[analysis_unit]);
-    // Analysis done (secure core copied what it needed): reset the unit so
-    // it is clean when it becomes active again at the next boundary.
-    units_[analysis_unit].reset();
   }
 }
 

@@ -17,6 +17,9 @@ const char* stage_name(Stage stage) {
     case Stage::kTrain: return "train";
     case Stage::kTrainCollect: return "train.collect";
     case Stage::kTrainCalibrate: return "train.calibrate";
+    case Stage::kSimSchedule: return "sim.schedule";
+    case Stage::kSimServices: return "sim.services";
+    case Stage::kHwFlush: return "hw.flush";
   }
   return "unknown";
 }
@@ -404,10 +407,22 @@ bool is_attributed_stage(std::size_t s) {
          stage == Stage::kShardScatter;
 }
 
-/// `analyze` and `train` wrap the other stages rather than name work.
+/// `analyze`, `train` and `sim.schedule` wrap the other stages rather than
+/// name work.
 bool is_umbrella(std::size_t s) {
   const auto stage = static_cast<Stage>(s);
-  return stage == Stage::kAnalyze || stage == Stage::kTrain;
+  return stage == Stage::kAnalyze || stage == Stage::kTrain ||
+         stage == Stage::kSimSchedule;
+}
+
+/// The stack a non-umbrella stage nests under in the stage-derived
+/// collapsed stacks.
+const char* fallback_parent(std::size_t s) {
+  switch (static_cast<Stage>(s)) {
+    case Stage::kSimServices: return "sim.schedule";
+    case Stage::kHwFlush: return "sim.schedule;sim.services";
+    default: return is_attributed_stage(s) ? "analyze" : "train";
+  }
 }
 
 }  // namespace
@@ -675,8 +690,7 @@ std::string collapsed_stacks() {
       append_fmt(out, "%s %llu\n", snap.name,
                  static_cast<unsigned long long>(weight));
     } else {
-      append_fmt(out, "%s;%s %llu\n",
-                 is_attributed_stage(s) ? "analyze" : "train", snap.name,
+      append_fmt(out, "%s;%s %llu\n", fallback_parent(s), snap.name,
                  static_cast<unsigned long long>(weight));
     }
   }

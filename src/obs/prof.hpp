@@ -45,10 +45,11 @@ namespace mhm::obs::prof {
 /// leg toggles this).
 
 /// Instrumented pipeline stages. Scoring stages are `score.*`, the shard
-/// batch plumbing `shard.*`, training `train.*`. The umbrellas are
-/// `analyze`, around one analyzed interval (serial session or whole shard
-/// batch) that the attribution fraction is measured against, and `train`,
-/// around one model build. New stages append, so stage-indexed arrays
+/// batch plumbing `shard.*`, training `train.*`, the map producer `sim.*`
+/// and `hw.*`. The umbrellas are `analyze`, around one analyzed interval
+/// (serial session or whole shard batch) that the attribution fraction is
+/// measured against, `train`, around one model build, and `sim.schedule`,
+/// around one simulation step. New stages append, so stage-indexed arrays
 /// keep their layout.
 enum class Stage : std::uint8_t {
   kAnalyze = 0,       ///< One Session::analyze / analyze_shard call.
@@ -64,8 +65,11 @@ enum class Stage : std::uint8_t {
   kTrain,             ///< One train_snapshot call (umbrella).
   kTrainCollect,      ///< collect_normal_trace: simulated profiling runs.
   kTrainCalibrate,    ///< train_snapshot's calibration scoring pass.
+  kSimSchedule,       ///< One System::run_for step (umbrella).
+  kSimServices,       ///< Scheduler event loop: jobs, kernel services, bus.
+  kHwFlush,           ///< Memometer interval close: swap, flush, reset.
 };
-inline constexpr std::size_t kStageCount = 13;
+inline constexpr std::size_t kStageCount = 16;
 
 /// Stable export name of a stage ("analyze", "score.project", ...).
 const char* stage_name(Stage stage);

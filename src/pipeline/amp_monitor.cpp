@@ -18,10 +18,9 @@ std::size_t AmpMonitor::attach(sim::System& system,
         "AmpMonitor: all instances must share the monitoring interval");
   }
   const std::size_t index = instances_.size();
-  instances_.push_back(Instance{
-      &system, engine::DetectionEngine(std::move(model)).new_session(),
-      name.empty() ? "os" + std::to_string(index) : std::move(name), {}});
-  system.set_interval_observer([this, index](const HeatMap& map) {
+  engine::Session session =
+      engine::DetectionEngine(std::move(model)).new_session();
+  system.attach_sink([this, index](const HeatMap& map) {
     Instance& inst = instances_[index];
     const Verdict v = inst.session.analyze(map);
     if (v.anomalous) {
@@ -31,6 +30,9 @@ std::size_t AmpMonitor::attach(sim::System& system,
     }
     inst.verdicts.push_back(v);
   });
+  instances_.push_back(Instance{
+      &system, std::move(session),
+      name.empty() ? "os" + std::to_string(index) : std::move(name), {}});
   return index;
 }
 

@@ -27,13 +27,14 @@ class AmpMonitor {
   };
 
   AmpMonitor() = default;
-  /// Each system's interval observer holds `this`.
+  /// Each attached system's sink holds `this`.
   AmpMonitor(const AmpMonitor&) = delete;
   AmpMonitor& operator=(const AmpMonitor&) = delete;
 
   /// Attach one monitored instance, scored by a session of its own on
-  /// `model`. `system` must outlive the monitor and the run. Returns the
-  /// instance index.
+  /// `model`. The monitor becomes the system's one consumer (ConfigError
+  /// when it already has one) and stays so: `system` must not run once the
+  /// monitor is gone. Returns the instance index.
   std::size_t attach(sim::System& system,
                      std::shared_ptr<const ModelSnapshot> model,
                      std::string name = {});

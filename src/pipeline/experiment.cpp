@@ -205,8 +205,8 @@ ScenarioRun run_scenario(const sim::SystemConfig& config,
     result.traffic_volumes.push_back(
         static_cast<double>(item->map.total_accesses()));
     if (session) result.verdicts.push_back(session->analyze(item->map));
+    result.maps.push_back(std::move(item->map));
   }
-  result.maps = system.take_trace();
   return result;
 }
 

@@ -6,9 +6,10 @@ namespace mhm::pipeline {
 
 SecureCoreMonitor::SecureCoreMonitor(
     sim::System& system, std::shared_ptr<const ModelSnapshot> model)
-    : session_(engine::DetectionEngine(std::move(model)).new_session()),
+    : system_(system),
+      session_(engine::DetectionEngine(std::move(model)).new_session()),
       interval_length_(system.config().monitor.interval) {
-  system.set_interval_observer([this](const HeatMap& map) {
+  system_.attach_sink([this](const HeatMap& map) {
     Verdict v = session_.analyze(map);
     if (static_cast<SimTime>(v.analysis_time.count()) > interval_length_) {
       ++overruns_;
@@ -22,6 +23,8 @@ SecureCoreMonitor::SecureCoreMonitor(
     verdicts_.push_back(v);
   });
 }
+
+SecureCoreMonitor::~SecureCoreMonitor() { system_.detach_sink(); }
 
 void SecureCoreMonitor::set_alarm_handler(
     std::function<void(const Alarm&)> handler) {

@@ -26,12 +26,15 @@ class SecureCoreMonitor {
     double log10_density = 0.0;
   };
 
-  /// Attach to `system` (not owned; must outlive the monitor and the run);
-  /// every completed interval is analyzed by the monitor's own session on
-  /// `model`.
+  /// Attach to `system` as its one consumer (not owned; must outlive the
+  /// monitor and the run; throws ConfigError when the system already has a
+  /// consumer); every completed interval is analyzed by the monitor's own
+  /// session on `model`.
   SecureCoreMonitor(sim::System& system,
                     std::shared_ptr<const ModelSnapshot> model);
-  /// The system's interval observer holds `this`.
+  /// Detaches from the system.
+  ~SecureCoreMonitor();
+  /// The system's sink holds `this`.
   SecureCoreMonitor(const SecureCoreMonitor&) = delete;
   SecureCoreMonitor& operator=(const SecureCoreMonitor&) = delete;
 
@@ -50,6 +53,7 @@ class SecureCoreMonitor {
   double mean_analysis_time_ns() const;
 
  private:
+  sim::System& system_;
   engine::Session session_;
   SimTime interval_length_;
   std::vector<Verdict> verdicts_;

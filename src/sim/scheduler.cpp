@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "obs/prof.hpp"
 
 namespace mhm::sim {
 
@@ -397,6 +398,7 @@ void Scheduler::execute_window(SimTime until) {
 
 void Scheduler::run_until(SimTime end_time) {
   MHM_ASSERT(end_time >= now_, "run_until: end time in the past");
+  PROF_ZONE(kSimServices);
   while (now_ < end_time) {
     // 1. Fire everything due at the current instant.
     bool fired = true;

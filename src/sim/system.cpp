@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
 #include "common/error.hpp"
+#include "obs/prof.hpp"
 
 namespace mhm::sim {
 
@@ -33,8 +34,7 @@ System::System(const SystemConfig& config)
 
   // Wire the snoop topology (Figure 3 / §5.5 ablation).
   auto on_ready = [this](const HeatMap& map) {
-    trace_.push_back(map);
-    if (observer_) observer_(map);
+    sink_ ? sink_(map) : trace_.push_back(map);
   };
   switch (config_.snoop_point) {
     case SnoopPoint::PreL1:
@@ -64,8 +64,12 @@ System::System(const SystemConfig& config)
   for (const auto& spec : config_.tasks) {
     scheduler_->add_task(scaled_jitter(spec));
   }
-  if (config_.kworker_mean_period > 0) schedule_kworker();
-  if (config_.device_irq_mean_period > 0) schedule_device_irq();
+  if (config_.kworker_mean_period > 0) {
+    schedule_background("kworker", config_.kworker_mean_period);
+  }
+  if (config_.device_irq_mean_period > 0) {
+    schedule_background("irq_dispatch", config_.device_irq_mean_period);
+  }
 }
 
 TaskSpec System::scaled_jitter(TaskSpec spec) const {
@@ -75,43 +79,26 @@ TaskSpec System::scaled_jitter(TaskSpec spec) const {
 
 System::~System() = default;
 
-void System::schedule_kworker() {
-  // Background kernel-thread housekeeping fires at exponentially distributed
-  // gaps; each occurrence runs the kworker service path and re-arms itself.
-  const double mean = static_cast<double>(config_.kworker_mean_period);
-  const auto gap = static_cast<SimTime>(
-      std::max(1.0, kworker_rng_.exponential(1.0 / mean)));
-  scheduler_->at(scheduler_->now() + gap, [this] {
-    scheduler_->run_service_now("kworker");
-    schedule_kworker();
-  });
-}
-
-void System::schedule_device_irq() {
-  // Sporadic peripheral interrupts: exponentially distributed arrivals
-  // through the irq_dispatch kernel path, re-arming after each one.
-  const double mean = static_cast<double>(config_.device_irq_mean_period);
-  const auto gap = static_cast<SimTime>(
-      std::max(1.0, kworker_rng_.exponential(1.0 / mean)));
-  scheduler_->at(scheduler_->now() + gap, [this] {
-    scheduler_->run_service_now("irq_dispatch");
-    schedule_device_irq();
+void System::schedule_background(const char* service, SimTime mean_period) {
+  // Background kernel activity (kworker housekeeping, sporadic peripheral
+  // interrupts) fires at exponentially distributed gaps; each occurrence
+  // runs its kernel path and re-arms itself.
+  const auto gap = static_cast<SimTime>(std::max(
+      1.0, kworker_rng_.exponential(1.0 / static_cast<double>(mean_period))));
+  scheduler_->at(scheduler_->now() + gap, [this, service, mean_period] {
+    scheduler_->run_service_now(service);
+    schedule_background(service, mean_period);
   });
 }
 
 void System::run_for(SimTime duration) {
+  PROF_ZONE(kSimSchedule);
   scheduler_->run_until(scheduler_->now() + duration);
 }
 
-void System::set_interval_observer(
-    std::function<void(const HeatMap&)> observer) {
-  observer_ = std::move(observer);
-}
-
-HeatMapTrace System::take_trace() {
-  HeatMapTrace out = std::move(trace_);
-  trace_.clear();
-  return out;
+void System::attach_sink(IntervalSink sink) {
+  if (sink_) throw ConfigError("System: a consumer is already attached");
+  sink_ = std::move(sink);
 }
 
 }  // namespace mhm::sim

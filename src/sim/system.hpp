@@ -2,7 +2,7 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/heatmap.hpp"
@@ -52,21 +52,29 @@ struct SystemConfig {
 /// rate-monotonic scheduler + memory bus + (optional cache hierarchy) +
 /// Memometer. Running it produces the stream of Memory Heat Maps that the
 /// secure core analyzes.
+///
+/// Every completed map goes to one sink: the collector behind `trace()`,
+/// or, once attached, the system's one consumer — and then the system
+/// keeps no maps at all.
 class System {
  public:
+  using IntervalSink = std::function<void(const HeatMap&)>;
+
   explicit System(const SystemConfig& config);
   ~System();
 
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Advance the simulation; every completed monitoring interval appends an
-  /// MHM to `trace()` and invokes the optional observer.
+  /// Advance the simulation; every completed monitoring interval hands its
+  /// MHM to the sink.
   void run_for(SimTime duration);
 
-  /// Register an additional per-interval observer (the secure core's
-  /// detector hook). Called after the map is appended to the trace.
-  void set_interval_observer(std::function<void(const HeatMap&)> observer);
+  /// Make `sink` the one consumer of completed maps until detach_sink().
+  /// Throws ConfigError when a consumer is already attached.
+  void attach_sink(IntervalSink sink);
+  /// Restore the built-in collector.
+  void detach_sink() { sink_ = nullptr; }
 
   /// --- attack / runtime-manipulation hooks (delegate to the scheduler) ---
   void launch_task(const TaskSpec& spec) {
@@ -89,8 +97,10 @@ class System {
 
   /// --- accessors ---
   SimTime now() const { return scheduler_->now(); }
+  /// Maps collected while no consumer was attached.
   const HeatMapTrace& trace() const { return trace_; }
-  HeatMapTrace take_trace();  ///< Move the trace out and clear it.
+  /// Move the collected maps out and clear them.
+  HeatMapTrace take_trace() { return std::exchange(trace_, {}); }
   const KernelImage& kernel() const { return kernel_; }
   const ServiceCatalog& services() const { return catalog_; }
   Scheduler& scheduler() { return *scheduler_; }
@@ -102,8 +112,8 @@ class System {
   const SystemConfig& config() const { return config_; }
 
  private:
-  void schedule_kworker();
-  void schedule_device_irq();
+  /// Run `service` at exponential gaps of mean `mean_period`, forever.
+  void schedule_background(const char* service, SimTime mean_period);
 
   /// Apply the config's jitter_scale to a task spec's stochastic knobs.
   TaskSpec scaled_jitter(TaskSpec spec) const;
@@ -120,7 +130,7 @@ class System {
   std::unique_ptr<Scheduler> scheduler_;
   Rng kworker_rng_;
   HeatMapTrace trace_;
-  std::function<void(const HeatMap&)> observer_;
+  IntervalSink sink_;  ///< Empty: the built-in collector (trace_).
 };
 
 }  // namespace mhm::sim

@@ -330,6 +330,8 @@ TEST_F(EngineTest, SimSourceYieldsExactlyTheSystemTrace) {
     engine::SimIntervalSource source(system, 500 * kMillisecond);
     while (auto item = source.next()) pulled.push_back(std::move(item->map));
     EXPECT_EQ(source.remaining(), 0u);
+    // The source is the system's one consumer: the system kept no map.
+    EXPECT_TRUE(system.trace().empty());
   }
   sim::System reference(cfg);
   reference.run_for(500 * kMillisecond);

@@ -193,6 +193,29 @@ void expect_same_snapshot(const FleetSnapshot& a, const FleetSnapshot& b) {
   }
 }
 
+// The archetype rows are written map by map through the system's sink; they
+// must stay byte-identical to the rows built from the collected trace
+// (run_for, take_trace, as_vector_into), whose FNV-1a digests these are.
+TEST_F(FleetTest, ArchetypeRowsMatchTheCollectedTrace) {
+  const FleetRunner runner = make_runner(small_spec());
+  const std::uint64_t golden[2] = {0xccde1132b00a121eULL,
+                                   0x5470d5a5e8c25a8dULL};
+  for (std::size_t a = 0; a < 2; ++a) {
+    const std::span<const double> rows = runner.archetype_rows(a);
+    ASSERT_EQ(rows.size(), (16u + 16u) * 368u);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double v : rows) {
+      unsigned char bytes[sizeof v];
+      std::memcpy(bytes, &v, sizeof v);
+      for (const unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+      }
+    }
+    EXPECT_EQ(h, golden[a]) << "archetype " << a;
+  }
+}
+
 // Same spec + seed must produce bit-identical aggregate state at any
 // thread count: shard layout comes from the spec, rounds are barriers,
 // and every per-device update is owner-only.

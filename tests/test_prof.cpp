@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/experiment.hpp"
+#include "sim/system.hpp"
 
 namespace mhm::obs::prof {
 namespace {
@@ -69,6 +71,9 @@ TEST(ProfStages, NamesAreStableExportIdentifiers) {
   EXPECT_STREQ(stage_name(Stage::kTrain), "train");
   EXPECT_STREQ(stage_name(Stage::kTrainCollect), "train.collect");
   EXPECT_STREQ(stage_name(Stage::kTrainCalibrate), "train.calibrate");
+  EXPECT_STREQ(stage_name(Stage::kSimSchedule), "sim.schedule");
+  EXPECT_STREQ(stage_name(Stage::kSimServices), "sim.services");
+  EXPECT_STREQ(stage_name(Stage::kHwFlush), "hw.flush");
 }
 
 TEST(ProfZones, AccumulateEntriesAndWallTime) {
@@ -313,6 +318,73 @@ TEST(ProfExport, UmbrellasStayOutOfTopStageAndRootFallbackStacks) {
       << collapsed;
   EXPECT_EQ(collapsed.find("train;train "), std::string::npos) << collapsed;
   EXPECT_EQ(collapsed.find("analyze;train"), std::string::npos) << collapsed;
+  reset();
+}
+
+TEST(ProfZones, OneRunForRecordsEachProducerStage) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  ProfGuard guard;
+  sim::System system(pipeline::fast_test_config());
+  reset();
+  SpanBuffer::instance().clear();
+  system.run_for(5 * system.config().monitor.interval);
+  const auto stages = snapshot_stages();
+  for (const char* name : {"sim.schedule", "sim.services", "hw.flush"}) {
+    EXPECT_GT(stage_of(stages, name).wall_ns, 0u) << name;
+  }
+  // Coarse zones: one step, one event loop, one flush per interval.
+  EXPECT_EQ(stage_of(stages, "sim.schedule").entries, 1u);
+  EXPECT_EQ(stage_of(stages, "sim.services").entries, 1u);
+  EXPECT_EQ(stage_of(stages, "hw.flush").entries, 5u);
+  // The step is an umbrella: the fallback stacks root it and chain the
+  // event loop and the flush beneath it.
+  const std::string collapsed = "\n" + collapsed_stacks();
+  EXPECT_NE(collapsed.find("\nsim.schedule "), std::string::npos) << collapsed;
+  EXPECT_NE(collapsed.find("\nsim.schedule;sim.services;hw.flush "),
+            std::string::npos)
+      << collapsed;
+  EXPECT_EQ(SpanBuffer::instance().snapshot().size(), 7u);
+  reset();
+  SpanBuffer::instance().clear();
+}
+
+TEST(ProfZones, RingReadersSeeWholeRecordsWhileWritersWrap) {
+  if (!obs::enabled()) GTEST_SKIP() << "obs layer compiled out";
+  ProfGuard guard;
+  SpanBuffer& ring = SpanBuffer::instance();
+  ring.clear();
+  // Each writer wraps its own ring several times while a reader copies
+  // them: every record a snapshot returns must be one a zone wrote whole.
+  constexpr std::size_t kWriters = 3;
+  constexpr std::size_t kPairs = 3 * SpanBuffer::kDefaultCapacity;
+  std::atomic<bool> done{false};
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([] {
+      for (std::size_t i = 0; i < kPairs; ++i) {
+        PROF_ZONE(kAnalyze);
+        PROF_ZONE(kScoreGmm);
+      }
+    });
+  }
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      for (const SpanRecord& s : ring.snapshot()) {
+        const bool analyze = s.stage == Stage::kAnalyze;
+        const bool gmm = s.stage == Stage::kScoreGmm;
+        EXPECT_TRUE(analyze || gmm) << static_cast<int>(s.stage);
+        EXPECT_NE(s.id, 0u);
+        // An analyze zone is a root; a score.gmm zone nests under one.
+        EXPECT_EQ(s.parent_id == 0, analyze);
+      }
+    }
+  });
+  for (auto& t : writers) t.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_EQ(ring.total_recorded(), 2 * kWriters * kPairs);
+  EXPECT_LE(ring.snapshot().size(), ring.capacity());
+  ring.clear();
   reset();
 }
 

@@ -4,6 +4,9 @@
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
+#include "engine/sim_source.hpp"
+#include "pipeline/experiment.hpp"
+#include "pipeline/secure_core.hpp"
 
 namespace mhm::sim {
 namespace {
@@ -67,11 +70,85 @@ TEST(System, DifferentSeedsDiffer) {
 }
 
 TEST(System, IntervalObserverSeesEveryMap) {
+  // An attached sink sees every map, and the system keeps none of them.
   System system(small_config());
   std::size_t observed = 0;
-  system.set_interval_observer([&](const HeatMap&) { ++observed; });
+  system.attach_sink([&](const HeatMap&) { ++observed; });
   system.run_for(200 * kMillisecond);
-  EXPECT_EQ(observed, system.trace().size());
+  EXPECT_EQ(observed, 20u);
+  EXPECT_TRUE(system.trace().empty());
+  // Detaching restores the collector.
+  system.detach_sink();
+  system.run_for(100 * kMillisecond);
+  EXPECT_EQ(observed, 20u);
+  EXPECT_EQ(system.trace().size(), 10u);
+}
+
+TEST(System, SecondConsumerAttachThrows) {
+  System system(small_config());
+  std::size_t first = 0;
+  system.attach_sink([&](const HeatMap&) { ++first; });
+  EXPECT_THROW(system.attach_sink([](const HeatMap&) {}), ConfigError);
+  // The first consumer keeps the slot.
+  system.run_for(50 * kMillisecond);
+  EXPECT_EQ(first, 5u);
+}
+
+TEST(System, SourceOverMonitoredSystemThrows) {
+  System profiling(small_config(2));
+  profiling.run_for(400 * kMillisecond);
+  TrainOptions options;
+  options.pca.components = 4;
+  options.gmm.components = 2;
+  options.gmm.restarts = 1;
+  const auto rows = as_rows(profiling.trace());
+  const auto model = std::make_shared<const ModelSnapshot>(
+      train_snapshot(rows, rows, options));
+
+  System system(small_config());
+  pipeline::SecureCoreMonitor monitor(system, model);
+  EXPECT_THROW(engine::SimIntervalSource(system, 50 * kMillisecond),
+               ConfigError);
+  system.run_for(50 * kMillisecond);
+  EXPECT_EQ(monitor.verdicts().size(), 5u);
+  EXPECT_TRUE(system.trace().empty());
+}
+
+TEST(System, ReattachAfterSourceIsDestroyed) {
+  System system(small_config());
+  {
+    engine::SimIntervalSource source(system, 30 * kMillisecond);
+    while (source.next()) {
+    }
+  }
+  std::size_t observed = 0;
+  EXPECT_NO_THROW(system.attach_sink([&](const HeatMap&) { ++observed; }));
+  system.run_for(20 * kMillisecond);
+  EXPECT_EQ(observed, 2u);
+  EXPECT_TRUE(system.trace().empty());
+}
+
+TEST(System, ConcurrentCollectionMatchesCollectedTraces) {
+  // collect_normal_trace streams each run through its own source on the
+  // pool; the maps must equal each system's collected trace, in order.
+  pipeline::ProfilingPlan plan;
+  plan.runs = 3;
+  plan.run_duration = 60 * kMillisecond;
+  plan.warmup_intervals = 2;
+  const HeatMapTrace pulled = pipeline::collect_normal_trace(small_config(),
+                                                             plan);
+  HeatMapTrace expected;
+  for (std::size_t run = 0; run < plan.runs; ++run) {
+    System system(small_config(plan.seed_base + run));
+    system.run_for(plan.run_duration);
+    const HeatMapTrace trace = system.take_trace();
+    expected.insert(expected.end(), trace.begin() + 2, trace.end());
+  }
+  ASSERT_EQ(pulled.size(), expected.size());
+  for (std::size_t i = 0; i < pulled.size(); ++i) {
+    EXPECT_EQ(pulled[i].interval_index, expected[i].interval_index);
+    EXPECT_EQ(pulled[i].counts(), expected[i].counts());
+  }
 }
 
 TEST(System, TakeTraceMovesAndClears) {

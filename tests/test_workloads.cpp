@@ -159,7 +159,7 @@ TEST(AvionicsWorkload, DetectorWorksOnAlternativeTaskSet) {
   attacked_cfg.seed = 999;
   System attacked(attacked_cfg);
   std::vector<Verdict> verdicts;
-  attacked.set_interval_observer([&](const HeatMap& m) {
+  attacked.attach_sink([&](const HeatMap& m) {
     verdicts.push_back(session.analyze(m));
   });
   attacked.at(1 * kSecond, [&] { attacked.launch_task(qsort_task_spec()); });
